@@ -12,7 +12,6 @@ from .errors import (
     SymmetryError,
 )
 from .grid import (
-    FractionalOrder,
     SpectralField,
     TorusGrid,
     apply_semigroup,
@@ -47,7 +46,6 @@ from .picard import (
     modulation_growth_bound,
     picard_terms,
     second_iterate_hat,
-    series_sum_field,
     tail_bound,
     theta,
 )
@@ -85,7 +83,7 @@ __all__ = [
     "__version__",
     "BudgetError", "ConfigError", "DegenerateWindowError", "DimensionError",
     "DomainError", "ResolutionError", "SymmetryError",
-    "FractionalOrder", "SpectralField", "TorusGrid",
+    "SpectralField", "TorusGrid",
     "apply_semigroup", "dealiased_product", "dealiased_square",
     "fractional_symbol", "from_spectral", "l2_norm",
     "pair_with_test_function", "to_spectral",
@@ -95,8 +93,7 @@ __all__ = [
     "Trajectory", "load_trajectory", "save_trajectory",
     "SolveConfig",
     "duhamel_kernel", "hs_norm_from_hat_scan", "modulation_growth_bound",
-    "picard_terms", "second_iterate_hat", "series_sum_field", "tail_bound",
-    "theta",
+    "picard_terms", "second_iterate_hat", "tail_bound", "theta",
     "IterationReport", "dilation_rescale", "duhamel_integrate",
     "existence_time_estimate", "fixed_point_solve", "integral_residual",
     "smoothing_constant", "weighted_sup_norm",

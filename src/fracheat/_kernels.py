@@ -1,24 +1,25 @@
-"""Hot numerical kernels, compiled with numba when available.
+"""Hot numerical kernels: the Duhamel kernel and the second-iterate quadrature.
 
-Set FRACHEAT_NO_NUMBA=1 to force the pure-numpy twins; both backends are
-always importable for the path-equality tests and the benchmark.
+Both are plain numpy. The quadrature evaluates the kernel on row tiles of
+the (targets x nodes) plane, so each temporary holds about TILE_ELEMS
+values whatever the shape.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
+
+BACKEND = "numpy"
 
 SERIES_CUT = 1e-6  # |theta * t| below this uses the 3-term series branch
 EXP_BIG = 500.0    # expm1 overflow guard; branch is exact there anyway
+TILE_ELEMS = 2 ** 16  # kernel values per quadrature tile
 
 
-def duhamel_kernel_numpy(xi: np.ndarray, xi1: np.ndarray, t: float,
-                         alpha: float) -> np.ndarray:
-    """e^{-|xi|^{2a} t} (e^{theta t} - 1)/theta elementwise, theta the
-    symbol mismatch |xi|^{2a} - |xi1|^{2a} - |xi-xi1|^{2a}."""
+def duhamel_kernel_values(xi: np.ndarray, xi1: np.ndarray, t: float,
+                          alpha: float) -> np.ndarray:
+    """e^{-|xi|^{2a} t} (e^{theta t} - 1)/theta elementwise (broadcasting),
+    theta the symbol mismatch |xi|^{2a} - |xi1|^{2a} - |xi-xi1|^{2a}."""
     p = 2.0 * alpha
     mu = np.abs(xi) ** p
     nu = np.abs(xi1) ** p + np.abs(xi - xi1) ** p
@@ -35,95 +36,13 @@ def duhamel_kernel_numpy(xi: np.ndarray, xi1: np.ndarray, t: float,
     return np.where(small, series, np.where(big, stable, quot))
 
 
-def second_iterate_numpy(targets: np.ndarray, xi1: np.ndarray, w: np.ndarray,
-                         t: float, alpha: float, prefac: float) -> np.ndarray:
+def second_iterate_values(targets: np.ndarray, xi1: np.ndarray, w: np.ndarray,
+                          t: float, alpha: float, prefac: float) -> np.ndarray:
     """out[j] = prefac * sum_i w[j,i] K(targets[j], xi1[i], t)."""
     out = np.empty(targets.shape[0])
-    for j in range(targets.shape[0]):
-        k = duhamel_kernel_numpy(targets[j], xi1, t, alpha)
-        out[j] = prefac * float(np.dot(w[j], k))
-    return out
-
-
-def _kernel_scalar_py(xi: float, xi1: float, t: float, alpha: float) -> float:
-    p = 2.0 * alpha
-    mu = abs(xi) ** p
-    nu = abs(xi1) ** p + abs(xi - xi1) ** p
-    theta = mu - nu
-    x = theta * t
-    if abs(x) < SERIES_CUT:
-        return t * math.exp(-mu * t) * (1.0 + 0.5 * x + x * x / 6.0)
-    if x > EXP_BIG:
-        return (math.exp(-nu * t) - math.exp(-mu * t)) / theta
-    return math.exp(-mu * t) * math.expm1(x) / theta
-
-
-def _duhamel_kernel_loop_py(xi, xi1, t, alpha):
-    out = np.empty(xi.shape[0])
-    for i in range(xi.shape[0]):
-        out[i] = _kernel_scalar_py(xi[i], xi1[i], t, alpha)
-    return out
-
-
-def _second_iterate_loop_py(targets, xi1, w, t, alpha, prefac):
-    p = 2.0 * alpha
-    n1 = xi1.shape[0]
-    nu1 = np.empty(n1)
-    for i in range(n1):
-        nu1[i] = abs(xi1[i]) ** p
-    out = np.empty(targets.shape[0])
-    for j in range(targets.shape[0]):
-        xi = targets[j]
-        mu = abs(xi) ** p
-        emu = math.exp(-mu * t)
-        acc = 0.0
-        for i in range(n1):
-            nu = nu1[i] + abs(xi - xi1[i]) ** p
-            theta = mu - nu
-            x = theta * t
-            if abs(x) < SERIES_CUT:
-                k = t * emu * (1.0 + 0.5 * x + x * x / 6.0)
-            elif x > EXP_BIG:
-                k = (math.exp(-nu * t) - emu) / theta
-            else:
-                k = emu * math.expm1(x) / theta
-            acc += w[j, i] * k
-        out[j] = prefac * acc
-    return out
-
-
-_want_numba = os.environ.get("FRACHEAT_NO_NUMBA", "") == ""
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _want_numba = False
-
-if _want_numba:
-    _kernel_scalar_jit = njit(cache=True)(_kernel_scalar_py)
-
-    @njit(cache=True)
-    def duhamel_kernel_numba(xi, xi1, t, alpha):
-        out = np.empty(xi.shape[0])
-        for i in range(xi.shape[0]):
-            out[i] = _kernel_scalar_jit(xi[i], xi1[i], t, alpha)
-        return out
-
-    second_iterate_numba = njit(cache=True)(_second_iterate_loop_py)
-    duhamel_kernel_values = duhamel_kernel_numba
-    second_iterate_values = second_iterate_numba
-    BACKEND = "numba"
-else:
-    duhamel_kernel_numba = None
-    second_iterate_numba = None
-    duhamel_kernel_values = duhamel_kernel_numpy
-    second_iterate_values = second_iterate_numpy
-    BACKEND = "numpy"
-
-
-def warmup() -> str:
-    """Trigger JIT compilation (no-op on the numpy path); returns the backend."""
-    xi = np.array([0.5, 1.0])
-    duhamel_kernel_values(xi, xi, 0.1, 0.75)
-    second_iterate_values(xi, xi, np.ones((2, 2)), 0.1, 0.75, 1.0)
-    return BACKEND
+    rows = max(1, TILE_ELEMS // xi1.shape[0])
+    for a in range(0, targets.shape[0], rows):
+        b = a + rows
+        k = duhamel_kernel_values(targets[a:b, None], xi1[None, :], t, alpha)
+        out[a:b] = np.einsum("ij,ij->i", w[a:b], k)
+    return prefac * out

@@ -9,8 +9,9 @@ experiment, an append-only JSONL registry, and two-column plot series
 
 Sweep axes (the N range of a scaling run, the cells of the phase
 diagram) are embarrassingly parallel; this implementation runs them
-sequentially and serializes registry appends behind a lock, which is the
-only ordering the artifact relies on.
+sequentially. Each emit_report call appends its registry lines with one
+O_APPEND write, so concurrent writers, threads or processes, never
+interleave within a call's lines.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,8 +55,6 @@ __all__ = [
 DEFAULT_SEED = 0x5EED
 # hard desk-scale grid budget; experiments refuse larger requests up front
 BUDGET_MODES = 2 ** 22
-
-_REGISTRY_LOCK = threading.Lock()
 
 # classifier slope above which a phase-diagram cell is called ill-posed
 _ILL_SLOPE = 0.04
@@ -682,10 +680,17 @@ def emit_report(records: Iterable[ExperimentRecord],
         path = root / "results" / f"{name}-{group[0].timestamp}.csv"
         _write_atomic(path, _csv_text(name, group))
         written["csv"].append(str(path))
-    lines = "".join(_registry_line(rec) + "\n" for rec in recs)
-    with _REGISTRY_LOCK, open(root / "registry.jsonl", "a",
-                              encoding="utf-8") as fh:
-        fh.write(lines)
+    # one write on an O_APPEND descriptor; a short write is not retried,
+    # since a second write could interleave with another writer's lines
+    data = "".join(_registry_line(rec) + "\n" for rec in recs).encode("utf-8")
+    fd = os.open(root / "registry.jsonl",
+                 os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        n = os.write(fd, data)
+    finally:
+        os.close(fd)
+    if n != len(data):
+        raise OSError(f"short registry append: wrote {n} of {len(data)} bytes")
     for rec in recs:
         for fname, body in _plot_series(rec):
             path = root / "plots" / fname

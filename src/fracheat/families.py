@@ -18,7 +18,7 @@ import numpy as np
 from .dyadic import DyadicPartition, eta, phi_profile
 from .errors import DimensionError, DomainError, ResolutionError
 from .grid import SpectralField, TorusGrid, check_alpha, pair_with_test_function
-from .picard import second_iterate_hat
+from .picard import second_iterate_hat, theta
 
 __all__ = [
     "FamilySpec",
@@ -167,11 +167,6 @@ class CascadeReport:
     k1_empty: bool
 
 
-def _theta_abs(xi: np.ndarray, xi1: np.ndarray, alpha: float) -> np.ndarray:
-    p = 2.0 * alpha
-    return np.abs(np.abs(xi) ** p - np.abs(xi1) ** p - np.abs(xi - xi1) ** p)
-
-
 def verify_cascade(n: int, alpha: float, t: float, grid: TorusGrid,
                    quad_tol: float = 0.05) -> CascadeReport:
     """Check that A_2(t, phi_N) keeps order-one mass at |xi| <= 1/2."""
@@ -197,7 +192,7 @@ def verify_cascade(n: int, alpha: float, t: float, grid: TorusGrid,
         other = xi - pos
         mask = (other > -(n + 2.0)) & (other < -float(n))
         if mask.any():
-            th = _theta_abs(np.full(mask.sum(), xi), pos[mask], alpha)
+            th = np.abs(theta(xi, pos[mask], alpha))
             theta_min = min(theta_min, float(th.min()))
             theta_max = max(theta_max, float(th.max()))
         # same-sign splittings (either side) should find no lattice point

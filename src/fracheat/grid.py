@@ -30,16 +30,6 @@ def check_alpha(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class FractionalOrder:
-    """Order alpha of the dissipation D^{2*alpha}, restricted to (0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        check_alpha(self.value)
-
-
-@dataclass(frozen=True)
 class TorusGrid:
     """Uniform spectral grid: period lam >= 1, mode count M a power of two."""
 

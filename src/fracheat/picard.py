@@ -15,7 +15,7 @@ pure bookkeeping and the dual-route tests exercise the time quadrature only.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -45,14 +45,10 @@ def duhamel_kernel(xi, xi1, t: float, alpha: float):
     check_alpha(alpha)
     if t < 0:
         raise DomainError(f"kernel time must be >= 0, got {t}")
-    xi = np.asarray(xi, dtype=float)
-    xi1 = np.asarray(xi1, dtype=float)
-    a, b = np.broadcast_arrays(xi, xi1)
-    shape = a.shape
     out = _kernels.duhamel_kernel_values(
-        np.ascontiguousarray(a, dtype=float).ravel(),
-        np.ascontiguousarray(b, dtype=float).ravel(), float(t), float(alpha))
-    return float(out[0]) if shape == () else out.reshape(shape)
+        np.asarray(xi, dtype=float), np.asarray(xi1, dtype=float),
+        float(t), float(alpha))
+    return float(out) if out.ndim == 0 else out
 
 
 def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
@@ -79,12 +75,12 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     if nz.size == 0:
         vals = np.zeros(targets.shape[0])
     else:
-        xi1 = np.ascontiguousarray(freqs[nz])
+        xi1 = freqs[nz]
         w = w1[nz][None, :] * np.asarray(phihat(targets[:, None] - xi1[None, :]),
                                          dtype=float)
         prefac = 4.0 * np.pi / lattice.period
         vals = _kernels.second_iterate_values(
-            targets, xi1, np.ascontiguousarray(w), float(t), float(alpha), prefac)
+            targets, xi1, w, float(t), float(alpha), prefac)
     return float(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
 
 
@@ -207,11 +203,3 @@ def hs_norm_from_hat_scan(xi_scan: np.ndarray, hat_values: np.ndarray,
         raise DomainError("scan must start at 0 and be strictly increasing")
     integrand = (1.0 + xi**2) ** s * np.asarray(hat_values, dtype=float) ** 2
     return float(np.sqrt(2.0 * np.trapezoid(integrand, xi) / (2.0 * np.pi)))
-
-
-def series_sum_field(terms: Sequence[Trajectory], node: int) -> SpectralField:
-    """Sum of the stored terms at one node, as a field."""
-    total = np.zeros(terms[0].coeffs.shape[1], dtype=complex)
-    for tr in terms:
-        total = total + tr.coeffs[node]
-    return SpectralField(terms[0].grid, total, is_real=terms[0].is_real)

@@ -13,7 +13,7 @@ PACKAGE_ROOT = str(Path(fracheat.__file__).resolve().parent.parent)
 
 
 def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ, FRACHEAT_NO_NUMBA="1")
+    env = dict(os.environ)
     env.pop("FRACHEAT_RESULTS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)

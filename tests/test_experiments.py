@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
@@ -345,6 +348,47 @@ def test_emit_report_unwritable_root_leaves_no_partials(tmp_path,
     root = tmp_path / "ok"
     emit_report([semigroup_record], out_root=root)
     assert not list(root.rglob("*.tmp"))
+
+
+# Appends n_calls x per_call registry lines of more than 8 KB each to one
+# root, after waiting until both writers are ready; argv: root, one-letter
+# tag, n_calls, per_call.
+_APPEND_WORKER = """
+import sys, time
+from pathlib import Path
+from fracheat.experiments import ExperimentRecord, emit_report, validate_config
+root, tag, n_calls, per_call = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:])
+params = validate_config("semigroup-check")
+(Path(root) / (tag + ".ready")).touch()
+while len(list(Path(root).glob("*.ready"))) < 2:
+    time.sleep(0.001)
+for i in range(n_calls):
+    emit_report([ExperimentRecord("semigroup-check", f"{tag}{i:04d}", params,
+                                  {"pad": tag * 9000, "j": j}, {"ok": True},
+                                  "0") for j in range(per_call)],
+                out_root=root)
+"""
+
+
+def test_emit_report_concurrent_processes_keep_registry_lines_whole(tmp_path):
+    n_calls, per_call = 200, 3
+    package_root = str(Path(fracheat.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    procs = [subprocess.Popen([sys.executable, "-c", _APPEND_WORKER,
+                               str(tmp_path), tag, str(n_calls), str(per_call)],
+                              env=env, stderr=subprocess.PIPE, text=True)
+             for tag in "ab"]
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    lines = (tmp_path / "registry.jsonl").read_text().splitlines()
+    assert len(lines) == 2 * n_calls * per_call
+    for line in lines:
+        payload = json.loads(line)
+        tag = payload["timestamp"][0]
+        assert payload["values"]["pad"] == tag * 9000
 
 
 def test_phase_diagram_plot_rows(tmp_path):
