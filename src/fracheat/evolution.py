@@ -7,9 +7,11 @@ a trapezoid correction to the source:
 
     I(t + dt) = E * I(t) + (dt/2) * (E * f(t) + f(t + dt)),  E = e^{-dt |xi|^{2a}}
 
-The scheme is unconditionally stable for the stiff multiplier and second
-order in dt. The fixed-point solver iterates the integral map itself, so
-its per-iteration difference norms double as contraction diagnostics.
+It is unconditionally stable for the stiff multiplier and second order in
+dt, and trapezoid_step is its one implementation: duhamel_integrate and the
+Picard march (picard.picard_terms) both step through it. The fixed-point
+solver iterates the integral map itself, so its per-iteration difference
+norms double as contraction diagnostics.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ import numpy as np
 from .config import SolveConfig
 from .dyadic import DyadicPartition, make_partition, sobolev_norm, x_norm
 from .errors import DimensionError, DomainError, ResolutionError
-from .grid import (SpectralField, TorusGrid, check_alpha,
-                   dealiased_product_coeffs, fractional_symbol)
+from .grid import (SpectralField, TorusGrid, check_alpha, dealiased_coeffs,
+                   dealiased_samples, fractional_symbol)
 from .trajectory import Trajectory
 
 __all__ = [
     "SolveConfig",
     "IterationReport",
+    "trapezoid_step",
     "duhamel_integrate",
     "fixed_point_solve",
     "integral_residual",
@@ -39,32 +42,37 @@ __all__ = [
 ]
 
 
+def trapezoid_step(acc, f_prev, f_next, decay, half_dt):
+    """E*I(t) + (dt/2)*(E*f(t) + f(t+dt)); half_dt may carry a folded sign."""
+    return decay * acc + half_dt * (decay * f_prev + f_next)
+
+
 def duhamel_integrate(source: Trajectory, alpha: float) -> Trajectory:
     """L(f)(t_i) = int_0^{t_i} S(t_i - r) f(r) dr along the source nodes."""
-    check_alpha(alpha)
     g = source.grid
-    sym = np.abs(g.frequencies) ** (2.0 * alpha)
-    decay = np.exp(-source.dt * sym)
+    decay = np.exp(-source.dt * fractional_symbol(g, alpha))
     half = 0.5 * source.dt
     out = np.zeros_like(source.coeffs)
     for i in range(source.n_nodes - 1):
-        out[i + 1] = decay * out[i] + half * (decay * source.coeffs[i]
-                                              + source.coeffs[i + 1])
+        out[i + 1] = trapezoid_step(out[i], source.coeffs[i],
+                                    source.coeffs[i + 1], decay, half)
     return Trajectory(g, source.dt, out, is_real=source.is_real)
 
 
 def _free_coeffs(u0: SpectralField, times: np.ndarray, alpha: float) -> np.ndarray:
-    sym = np.abs(u0.grid.frequencies) ** (2.0 * alpha)
+    sym = fractional_symbol(u0.grid, alpha)
     return u0.coeffs[None, :] * np.exp(-np.outer(times, sym))
 
 
-def _squared_coeffs(traj_coeffs: np.ndarray, grid: TorusGrid,
-                    is_real: bool) -> np.ndarray:
-    out = np.empty_like(traj_coeffs)
-    for i in range(traj_coeffs.shape[0]):
-        row = traj_coeffs[i]
-        out[i] = dealiased_product_coeffs(row, row, grid, real_inputs=is_real)
-    return out
+def _integral_map(u: Trajectory, free: np.ndarray,
+                  config: SolveConfig) -> np.ndarray:
+    """S u0 + sigma L(u^2) on the nodes of u, given the free flow S u0."""
+    if config.sign == 0:
+        return free
+    g = u.grid
+    sq = dealiased_coeffs(dealiased_samples(u.coeffs, g, u.is_real) ** 2, g)
+    src = Trajectory(g, u.dt, sq, is_real=u.is_real)
+    return free + config.sign * duhamel_integrate(src, config.alpha).coeffs
 
 
 @dataclass(frozen=True)
@@ -110,15 +118,10 @@ def fixed_point_solve(u0: SpectralField, config: SolveConfig):
     n_iter = 0
     for _ in range(config.max_iter):
         n_iter += 1
-        if config.sign == 0:
-            new = free
-        else:
-            # overflow during a genuine blow-up is caught below, not warned
-            with np.errstate(over="ignore", invalid="ignore"):
-                sq = _squared_coeffs(cur, g, u0.is_real)
-                src = Trajectory(g, config.dt, sq, is_real=u0.is_real)
-                new = free + config.sign * duhamel_integrate(src,
-                                                             config.alpha).coeffs
+        # overflow during a genuine blow-up is caught below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = _integral_map(Trajectory(g, config.dt, cur,
+                                           is_real=u0.is_real), free, config)
         bad = ~np.isfinite(new)
         if bad.any():
             blowup_time = float(times[int(np.argwhere(bad.any(axis=1))[0, 0])])
@@ -149,13 +152,8 @@ def integral_residual(traj: Trajectory, u0: SpectralField,
     g = traj.grid
     if g != u0.grid:
         raise DimensionError("trajectory and datum live on different grids")
-    times = traj.dt * np.arange(traj.n_nodes)
-    rhs = _free_coeffs(u0, times, config.alpha)
-    if config.sign != 0:
-        sq = _squared_coeffs(traj.coeffs, g, traj.is_real)
-        src = Trajectory(g, traj.dt, sq, is_real=traj.is_real)
-        rhs = rhs + config.sign * duhamel_integrate(src, config.alpha).coeffs
-    defect = traj.coeffs - rhs
+    free = _free_coeffs(u0, traj.times, config.alpha)
+    defect = traj.coeffs - _integral_map(traj, free, config)
     node_l2 = np.sqrt(g.period * np.sum(np.abs(defect) ** 2, axis=1))
     return float(np.max(node_l2))
 

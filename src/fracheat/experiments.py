@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -646,8 +647,9 @@ def _plot_series(rec: ExperimentRecord) -> List[Tuple[str, str]]:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    # temp-plus-rename so a failed write never leaves a partial file
-    tmp = path.with_name(path.name + ".tmp")
+    # per-writer temp-plus-rename: no partial file, no shared temporary
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)

@@ -174,19 +174,30 @@ def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(u.grid, c, is_real=real)
 
 
+def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
+    c[..., m // 3 + 1:m - m // 3] = 0.0  # exactly the modes |k| > M/3
+    return c
+
+
+def dealiased_samples(coeffs: np.ndarray, grid: TorusGrid,
+                      real: bool) -> np.ndarray:
+    """Samples of the 2/3-rule truncated coeffs (last axis; real part if real)."""
+    m = grid.mode_count
+    s = np.fft.ifft(_zero_aliased(np.array(coeffs, dtype=np.complex128), m)) * m
+    return s.real if real else s
+
+
+def dealiased_coeffs(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Coefficients of samples (last axis) with modes |k| > M/3 zeroed."""
+    return _zero_aliased(np.fft.fft(samples) / grid.mode_count, grid.mode_count)
+
+
 def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray, grid: TorusGrid,
                              real_inputs: bool = True) -> np.ndarray:
     """Raw-array core of the dealiased product (no field validation)."""
-    mask = grid.dealias_mask
-    m = grid.mode_count
-    a = np.fft.ifft(np.where(mask, cu, 0.0)) * m
-    b = a if cv is cu else np.fft.ifft(np.where(mask, cv, 0.0)) * m
-    if real_inputs:
-        a = a.real
-        b = b.real
-    prod = np.fft.fft(a * b) / m
-    prod[~mask] = 0.0
-    return prod
+    a = dealiased_samples(cu, grid, real_inputs)
+    b = a if cv is cu else dealiased_samples(cv, grid, real_inputs)
+    return dealiased_coeffs(a * b, grid)
 
 
 def pair_with_test_function(field: SpectralField,

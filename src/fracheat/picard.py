@@ -22,7 +22,9 @@ import numpy as np
 from . import _kernels
 from .config import SolveConfig
 from .errors import ConfigError, DomainError, ResolutionError
-from .grid import SpectralField, TorusGrid, check_alpha, fractional_symbol
+from .evolution import trapezoid_step
+from .grid import (SpectralField, TorusGrid, check_alpha, dealiased_coeffs,
+                   dealiased_samples, fractional_symbol)
 from .trajectory import Trajectory
 
 
@@ -102,52 +104,37 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
         raise ConfigError(
             f"store_stride {store_stride} must divide the step count {n}")
     m = grid.mode_count
-    sigma = float(config.sign)
     decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
-    mask = grid.dealias_mask
+    # sigma folds into the step exactly: it is -1, 0 or 1
+    half = 0.5 * config.dt * float(config.sign)
     real = seed.is_real
 
-    def to_phys(c):
-        # inputs to quadratic sources must themselves be 2/3-rule truncated
-        s = np.fft.ifft(np.where(mask, c, 0.0)) * m
-        return s.real if real else s
+    def source(k):
+        # sum over splits k1 + k2 = k of the dealiased products A_k1 A_k2
+        return dealiased_coeffs(sum(phys[k1] * phys[k - k1]
+                                    for k1 in range(1, k)), grid)
 
-    def to_freq_masked(s):
-        c = np.fft.fft(s) / m
-        c[~mask] = 0.0
-        return c
-
-    coeff = [None] + [np.zeros(m, dtype=complex) for _ in range(n_terms)]
-    coeff[1] = seed.coeffs.copy()
-    phys = [None] + [to_phys(coeff[k]) for k in range(1, n_terms + 1)]
-    # f_k(t) = sum over splits of the physical product, transformed and masked
-    fprev = [None, None]
-    for k in range(2, n_terms + 1):
-        src = np.zeros(m, dtype=complex if not real else float)
-        for k1 in range(1, k):
-            src = src + phys[k1] * phys[k - k1]
-        fprev.append(to_freq_masked(src))
+    coeff = [None, seed.coeffs.copy()] + [np.zeros(m, dtype=complex)
+                                          for _ in range(n_terms - 1)]
+    # each A_j is transformed once per step; A_k's new source needs
+    # A_1..A_{k-1} at the new time, so the terms advance in order
+    phys = [None] + [dealiased_samples(c, grid, real) for c in coeff[1:]]
+    fprev = [None, None] + [source(k) for k in range(2, n_terms + 1)]
 
     n_stored = n // store_stride + 1
     stored = [np.zeros((n_stored, m), dtype=complex) for _ in range(n_terms)]
     stored[0][0] = coeff[1]
-    row = 1
-    half = 0.5 * config.dt * sigma
     for i in range(1, n + 1):
         coeff[1] = decay * coeff[1]
-        phys[1] = to_phys(coeff[1])
+        phys[1] = dealiased_samples(coeff[1], grid, real)
         for k in range(2, n_terms + 1):
-            src = np.zeros(m, dtype=complex if not real else float)
-            for k1 in range(1, k):
-                src = src + phys[k1] * phys[k - k1]
-            fnext = to_freq_masked(src)
-            coeff[k] = decay * coeff[k] + half * (decay * fprev[k] + fnext)
+            fnext = source(k)
+            coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, decay, half)
             fprev[k] = fnext
-            phys[k] = to_phys(coeff[k])
+            phys[k] = dealiased_samples(coeff[k], grid, real)
         if i % store_stride == 0:
             for k in range(1, n_terms + 1):
-                stored[k - 1][row] = coeff[k]
-            row += 1
+                stored[k - 1][i // store_stride] = coeff[k]
     out_dt = config.dt * store_stride
     return [Trajectory(grid, out_dt, arr, is_real=real) for arr in stored]
 

@@ -370,25 +370,63 @@ for i in range(n_calls):
 """
 
 
-def test_emit_report_concurrent_processes_keep_registry_lines_whole(tmp_path):
-    n_calls, per_call = 200, 3
+def _run_two_writers(worker, root, *args):
+    """Run `worker` in two processes, tagged a and b; each must exit 0."""
     package_root = str(Path(fracheat.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    procs = [subprocess.Popen([sys.executable, "-c", _APPEND_WORKER,
-                               str(tmp_path), tag, str(n_calls), str(per_call)],
+    procs = [subprocess.Popen([sys.executable, "-c", worker, str(root), tag,
+                               *map(str, args)],
                               env=env, stderr=subprocess.PIPE, text=True)
              for tag in "ab"]
     for proc in procs:
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
+
+
+def test_emit_report_concurrent_processes_keep_registry_lines_whole(tmp_path):
+    n_calls, per_call = 200, 3
+    _run_two_writers(_APPEND_WORKER, tmp_path, n_calls, per_call)
     lines = (tmp_path / "registry.jsonl").read_text().splitlines()
     assert len(lines) == 2 * n_calls * per_call
     for line in lines:
         payload = json.loads(line)
         tag = payload["timestamp"][0]
         assert payload["values"]["pad"] == tag * 9000
+
+
+# Emits n_calls single semigroup-check records, all with one timestamp, into
+# one root after both writers are ready, so both replace the same CSV file;
+# argv: root, one-letter tag, n_calls.
+_SAME_STAMP_WORKER = """
+import sys, time
+from pathlib import Path
+from fracheat.experiments import ExperimentRecord, emit_report, validate_config
+root, tag, n_calls = sys.argv[1], sys.argv[2], int(sys.argv[3])
+params = validate_config("semigroup-check")
+(Path(root) / (tag + ".ready")).touch()
+while len(list(Path(root).glob("*.ready"))) < 2:
+    time.sleep(0.001)
+for i in range(n_calls):
+    emit_report([ExperimentRecord("semigroup-check", "20260101T000000Z", params,
+                                  {"writer": tag, "i": i}, {"ok": True}, "0")],
+                out_root=root)
+"""
+
+
+def test_emit_report_same_timestamp_processes_both_complete(tmp_path):
+    # both writers replace results/semigroup-check-20260101T000000Z.csv;
+    # a shared temporary name made the loser raise FileNotFoundError
+    n_calls = 300
+    _run_two_writers(_SAME_STAMP_WORKER, tmp_path, n_calls)
+    lines = (tmp_path / "registry.jsonl").read_text().splitlines()
+    got = sorted((p["values"]["writer"], p["values"]["i"])
+                 for p in map(json.loads, lines))
+    assert got == [(tag, i) for tag in "ab" for i in range(n_calls)]
+    csv = (tmp_path / "results" / "semigroup-check-20260101T000000Z.csv")
+    assert len(csv.read_text().splitlines()) == 2
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_phase_diagram_plot_rows(tmp_path):

@@ -7,7 +7,9 @@ from fracheat.grid import (
     SpectralField,
     TorusGrid,
     apply_semigroup,
+    dealiased_coeffs,
     dealiased_product,
+    dealiased_samples,
     dealiased_square,
     fractional_symbol,
     from_spectral,
@@ -163,6 +165,16 @@ def test_dealiased_square_against_brute_convolution():
     got = dealiased_product(u, v).coeffs
     want = brute_dealiased_product(u.coeffs, v.coeffs, g)
     assert np.allclose(got, want, atol=1e-13 * max(1.0, np.max(np.abs(want))))
+    # the two halves on a 2-row stack, as the solver squares a trajectory
+    stack = np.array([u.coeffs, v.coeffs])
+    for real in (True, False):
+        got = dealiased_coeffs(dealiased_samples(stack, g, real) ** 2, g)
+        assert got.shape == stack.shape
+        for row, c in zip(got, stack):
+            want = brute_dealiased_product(c, c, g)
+            assert np.allclose(row, want,
+                               atol=1e-13 * max(1.0, np.max(np.abs(want))))
+            assert np.all(row[~g.dealias_mask] == 0)
 
 
 def test_dealiased_square_exact_on_harmonics():

@@ -5,7 +5,8 @@ import pytest
 from fracheat.config import SolveConfig
 from fracheat.dyadic import algebra_constant, modulation_norm, phi_profile, sobolev_norm
 from fracheat.errors import ConfigError, DomainError, ResolutionError
-from fracheat.grid import SpectralField, TorusGrid
+from fracheat.evolution import duhamel_integrate
+from fracheat.grid import SpectralField, TorusGrid, dealiased_square
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
@@ -15,6 +16,7 @@ from fracheat.picard import (
     tail_bound,
     theta,
 )
+from fracheat.trajectory import Trajectory
 
 from conftest import SEED
 
@@ -189,6 +191,29 @@ def test_picard_a2_matches_closed_form():
     assert np.max(np.abs(series_vals - za_vals)) < 1e-3 * scale
     # imaginary parts are round-off only
     assert np.max(np.abs(a2.coeffs[-1].imag)) < 1e-15
+
+
+@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, is_real):
+    # the march and duhamel_integrate share one stepper and one dealiased
+    # product, so A_2 = sigma L(A_1^2) holds bit for bit; the square is taken
+    # node by node through the field API
+    g = TorusGrid(16.0, 256)
+    if is_real:
+        seed = seed_field_on(g)
+    else:
+        rng = np.random.default_rng(SEED)
+        band = np.abs(g.wavenumbers) <= 40
+        c = (rng.standard_normal(256) + 1j * rng.standard_normal(256)) * band
+        seed = SpectralField(g, 0.1 * c, is_real=False)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
+    a1, a2 = picard_terms(seed, 2, cfg)
+    sq = np.array([dealiased_square(a1.field(i)).coeffs
+                   for i in range(a1.n_nodes)])
+    src = Trajectory(g, a1.dt, sq, is_real=is_real)
+    np.testing.assert_array_equal(
+        a2.coeffs, sign * duhamel_integrate(src, 0.75).coeffs)
 
 
 def test_picard_store_stride_and_errors():
