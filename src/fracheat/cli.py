@@ -2,8 +2,8 @@
 
 Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 configuration or
 resource error. Results land under $FRACHEAT_RESULTS (default: the
-working directory) as results/<name>-<timestamp>.csv, registry.jsonl,
-and plots/<name>-*.dat.
+working directory) as results/<name>-<timestamp>-<digest>.csv,
+registry.jsonl, and plots/<name>-*.dat.
 """
 
 from __future__ import annotations

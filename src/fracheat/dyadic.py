@@ -16,7 +16,8 @@ from typing import Dict
 import numpy as np
 
 from .errors import DegenerateWindowError, DimensionError, DomainError, ResolutionError
-from .grid import SpectralField, TorusGrid, check_alpha, dealiased_product
+from .grid import (SpectralField, TorusGrid, band_half, check_alpha,
+                   dealiased_product, hermitian_full)
 from .trajectory import Trajectory
 
 
@@ -214,15 +215,12 @@ def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
     """
     rng = np.random.default_rng(seed)
     m = grid.mode_count
-    keep = np.abs(grid.wavenumbers) <= m // 8
     half = 2.0 ** (n_window / 2.0)
     worst = 0.0
     for _ in range(n_pairs):
-        fields = []
-        for _ in range(2):
-            c = np.fft.fft(rng.standard_normal(m)) / m
-            fields.append(SpectralField(grid, np.where(keep, c, 0.0)))
-        u, v = fields
+        u, v = [SpectralField(grid, hermitian_full(
+            band_half(rng.standard_normal(m), grid, m // 8), grid))
+            for _ in range(2)]
         num = modulation_norm(dealiased_product(u, v), n_window)
         den = half * modulation_norm(u, n_window) * modulation_norm(v, n_window)
         worst = max(worst, num / den)

@@ -663,8 +663,10 @@ def emit_report(records: Iterable[ExperimentRecord],
     """Persist records: CSV per experiment, JSONL registry, plot series.
 
     Output root is out_root, else $FRACHEAT_RESULTS, else the working
-    directory. Returns the written paths. Registry lines are appended,
-    never rewritten; CSV and plot files are replaced atomically.
+    directory. Returns the written paths. A CSV is named
+    <experiment>-<timestamp>-<first 8 hex digits of the sha256 of its
+    text>.csv. Registry lines are appended, never rewritten; CSV and plot
+    files are replaced atomically.
     """
     recs = list(records)
     if not recs:
@@ -678,9 +680,16 @@ def emit_report(records: Iterable[ExperimentRecord],
     by_name: Dict[str, List[ExperimentRecord]] = {}
     for rec in recs:
         by_name.setdefault(rec.experiment, []).append(rec)
+    # imported on first use: hashlib loads OpenSSL, about 4 ms that every
+    # `import fracheat` would pay even when nothing is emitted
+    import hashlib
     for name, group in by_name.items():
-        path = root / "results" / f"{name}-{group[0].timestamp}.csv"
-        _write_atomic(path, _csv_text(name, group))
+        text = _csv_text(name, group)
+        # the content digest keeps two records of one second apart, and
+        # re-emitting the same records rewrites the same file
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
+        path = root / "results" / f"{name}-{group[0].timestamp}-{digest}.csv"
+        _write_atomic(path, text)
         written["csv"].append(str(path))
     # one write on an O_APPEND descriptor; a short write is not retried,
     # since a second write could interleave with another writer's lines

@@ -8,6 +8,13 @@ The dictionary to the continuum objects is
 
 so integrals int dxi become (2*pi/lam) * sum_k and every norm below is the
 lattice Riemann sum of its continuum counterpart.
+
+Real fields take a real-spectrum path through three primitives on the
+nonnegative modes 0..k_max (the rfft half): band_half (real samples to
+modes), band_samples (modes to real samples; a short half is zero-padded,
+which is the 2/3-rule mask when it stops at M/3) and hermitian_full (a half
+widened to the full fft-order spectrum with its conjugate mirror). Complex
+fields use full complex transforms.
 """
 
 from __future__ import annotations
@@ -119,8 +126,10 @@ def to_spectral(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
     if s.shape != (grid.mode_count,):
         raise DimensionError(
             f"sample array has shape {s.shape}, grid wants ({grid.mode_count},)")
-    coeffs = np.fft.fft(s) / grid.mode_count
-    return SpectralField(grid, coeffs, is_real=not np.iscomplexobj(s))
+    m = grid.mode_count
+    if np.iscomplexobj(s):
+        return SpectralField(grid, np.fft.fft(s) / m, is_real=False)
+    return SpectralField(grid, hermitian_full(band_half(s, grid, m // 2), grid))
 
 
 def from_spectral(field: SpectralField) -> np.ndarray:
@@ -174,6 +183,37 @@ def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(u.grid, c, is_real=real)
 
 
+def band_half(samples: np.ndarray, grid: TorusGrid, k_max: int) -> np.ndarray:
+    """Modes 0..k_max of real samples (last axis): rfft / M, truncated."""
+    return np.fft.rfft(samples)[..., :k_max + 1] / grid.mode_count
+
+
+def band_samples(h: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Real samples (last axis) of the Hermitian field whose modes 0.. are h.
+
+    Modes beyond len(h) are zero; the imaginary parts of the self-mirrored
+    modes 0 and M/2 are dropped, as in hermitian_full.
+    """
+    return np.fft.irfft(h, n=grid.mode_count) * grid.mode_count
+
+
+def hermitian_full(h: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Full fft-order spectrum (last axis) with modes 0..len(h)-1 equal to h,
+    their mirrors equal to conj(h) and every other mode zero.
+
+    Modes 0 and M/2 are their own mirrors and keep only their real part, so
+    the result is exactly Hermitian.
+    """
+    m, n = grid.mode_count, h.shape[-1]
+    out = np.zeros(h.shape[:-1] + (m,), dtype=np.complex128)
+    out[..., :n] = h
+    out[..., m - n + 1:] = np.conj(h[..., :0:-1])
+    out[..., 0] = out[..., 0].real
+    if n > m // 2:
+        out[..., m // 2] = out[..., m // 2].real
+    return out
+
+
 def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
     c[..., m // 3 + 1:m - m // 3] = 0.0  # exactly the modes |k| > M/3
     return c
@@ -181,15 +221,23 @@ def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
 
 def dealiased_samples(coeffs: np.ndarray, grid: TorusGrid,
                       real: bool) -> np.ndarray:
-    """Samples of the 2/3-rule truncated coeffs (last axis; real part if real)."""
+    """Samples of the 2/3-rule truncated coeffs (last axis).
+
+    When real, only modes 0..M/3 are read (so coeffs may be that half alone)
+    and the samples are real.
+    """
     m = grid.mode_count
-    s = np.fft.ifft(_zero_aliased(np.array(coeffs, dtype=np.complex128), m)) * m
-    return s.real if real else s
+    if real:
+        return band_samples(coeffs[..., :m // 3 + 1], grid)
+    return np.fft.ifft(_zero_aliased(np.array(coeffs, dtype=np.complex128), m)) * m
 
 
 def dealiased_coeffs(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Coefficients of samples (last axis) with modes |k| > M/3 zeroed."""
-    return _zero_aliased(np.fft.fft(samples) / grid.mode_count, grid.mode_count)
+    m = grid.mode_count
+    if np.iscomplexobj(samples):
+        return _zero_aliased(np.fft.fft(samples) / m, m)
+    return hermitian_full(band_half(samples, grid, m // 3), grid)
 
 
 def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray, grid: TorusGrid,

@@ -23,8 +23,9 @@ from . import _kernels
 from .config import SolveConfig
 from .errors import ConfigError, DomainError, ResolutionError
 from .evolution import trapezoid_step
-from .grid import (SpectralField, TorusGrid, check_alpha, dealiased_coeffs,
-                   dealiased_samples, fractional_symbol)
+from .grid import (SpectralField, TorusGrid, band_half, check_alpha,
+                   dealiased_coeffs, dealiased_samples, fractional_symbol,
+                   hermitian_full)
 from .trajectory import Trajectory
 
 
@@ -91,7 +92,9 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     """First n_terms Taylor trajectories A_1..A_k of the flow from `seed`.
 
     Exponential-trapezoid time stepping on the shared Duhamel structure;
-    quadratic sources are 2/3-rule dealiased. store_stride keeps every
+    quadratic sources are 2/3-rule dealiased. For a real seed the terms
+    k >= 2 march on modes 0..M/3 only and are returned on the full,
+    exactly Hermitian spectrum. store_stride keeps every
     stride-th node (stride must divide the step count), so large-M runs can
     retain endpoints only.
     """
@@ -108,17 +111,28 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     # sigma folds into the step exactly: it is -1, 0 or 1
     half = 0.5 * config.dt * float(config.sign)
     real = seed.is_real
+    # terms k >= 2 are dealiased sources; for a real seed they live on
+    # modes 0..M/3 of the rfft half and are widened only when stored
+    width = m // 3 + 1 if real else m
+    band_decay = decay[:width]
 
     def source(k):
-        # sum over splits k1 + k2 = k of the dealiased products A_k1 A_k2
-        return dealiased_coeffs(sum(phys[k1] * phys[k - k1]
-                                    for k1 in range(1, k)), grid)
+        # the splits (j, k - j) pair up: twice those with j < k - j, plus
+        # the square of A_{k/2} when k is even
+        total = 2.0 * sum(phys[j] * phys[k - j] for j in range(1, (k + 1) // 2))
+        if k % 2 == 0:
+            total = total + phys[k // 2] ** 2
+        if real:
+            return band_half(total, grid, m // 3)
+        return dealiased_coeffs(total, grid)
 
-    coeff = [None, seed.coeffs.copy()] + [np.zeros(m, dtype=complex)
+    coeff = [None, seed.coeffs.copy()] + [np.zeros(width, dtype=complex)
                                           for _ in range(n_terms - 1)]
-    # each A_j is transformed once per step; A_k's new source needs
-    # A_1..A_{k-1} at the new time, so the terms advance in order
-    phys = [None] + [dealiased_samples(c, grid, real) for c in coeff[1:]]
+    # each A_j with j < n_terms is transformed once per step (no source
+    # reads A_n_terms); A_k's new source needs A_1..A_{k-1} at the new
+    # time, so the terms advance in order
+    phys = [None, dealiased_samples(coeff[1], grid, real)]
+    phys += [np.zeros_like(phys[1])] * (n_terms - 1)
     fprev = [None, None] + [source(k) for k in range(2, n_terms + 1)]
 
     n_stored = n // store_stride + 1
@@ -129,12 +143,17 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
         phys[1] = dealiased_samples(coeff[1], grid, real)
         for k in range(2, n_terms + 1):
             fnext = source(k)
-            coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, decay, half)
+            coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, band_decay,
+                                      half)
             fprev[k] = fnext
-            phys[k] = dealiased_samples(coeff[k], grid, real)
+            if k < n_terms:
+                phys[k] = dealiased_samples(coeff[k], grid, real)
         if i % store_stride == 0:
-            for k in range(1, n_terms + 1):
-                stored[k - 1][i // store_stride] = coeff[k]
+            row = i // store_stride
+            stored[0][row] = coeff[1]
+            for k in range(2, n_terms + 1):
+                stored[k - 1][row] = (hermitian_full(coeff[k], grid) if real
+                                      else coeff[k])
     out_dt = config.dt * store_stride
     return [Trajectory(grid, out_dt, arr, is_real=real) for arr in stored]
 

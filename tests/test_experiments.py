@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -280,9 +282,12 @@ def test_dilation_check_pipeline():
 
 def test_emit_report_writes_csv_and_registry(tmp_path, semigroup_record):
     written = emit_report([semigroup_record], out_root=tmp_path)
-    csv_path = tmp_path / "results" / \
-        f"semigroup-check-{semigroup_record.timestamp}.csv"
-    assert written["csv"] == [str(csv_path)]
+    [csv_name] = written["csv"]
+    csv_path = Path(csv_name)
+    assert csv_path.parent == tmp_path / "results"
+    assert re.fullmatch(
+        rf"semigroup-check-{semigroup_record.timestamp}-[0-9a-f]{{8}}\.csv",
+        csv_path.name)
     assert written["plots"] == []  # scalar-only experiment, nothing to plot
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2
@@ -309,8 +314,11 @@ def test_emit_report_is_append_only_and_reproducible(tmp_path,
 
 
 def test_emit_report_expands_list_values(tmp_path, solve_record):
-    emit_report([solve_record], out_root=tmp_path)
-    csv_path = tmp_path / "results" / f"solve-{solve_record.timestamp}.csv"
+    written = emit_report([solve_record], out_root=tmp_path)
+    [csv_name] = written["csv"]
+    csv_path = Path(csv_name)
+    assert re.fullmatch(rf"solve-{solve_record.timestamp}-[0-9a-f]{{8}}\.csv",
+                        csv_path.name)
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + len(solve_record.values["time"])
     # scalar columns repeat on every expanded row
@@ -416,17 +424,40 @@ for i in range(n_calls):
 
 
 def test_emit_report_same_timestamp_processes_both_complete(tmp_path):
-    # both writers replace results/semigroup-check-20260101T000000Z.csv;
+    # both writers emit semigroup-check records stamped 20260101T000000Z;
     # a shared temporary name made the loser raise FileNotFoundError
     n_calls = 300
     _run_two_writers(_SAME_STAMP_WORKER, tmp_path, n_calls)
     lines = (tmp_path / "registry.jsonl").read_text().splitlines()
     got = sorted((p["values"]["writer"], p["values"]["i"])
                  for p in map(json.loads, lines))
-    assert got == [(tag, i) for tag in "ab" for i in range(n_calls)]
-    csv = (tmp_path / "results" / "semigroup-check-20260101T000000Z.csv")
-    assert len(csv.read_text().splitlines()) == 2
+    want = [(tag, i) for tag in "ab" for i in range(n_calls)]
+    assert got == want
+    # every record keeps its own CSV: one header and its one row
+    rows = [_single_row(csv) for csv in
+            (tmp_path / "results").glob("semigroup-check-*.csv")]
+    assert sorted((r["writer"], int(r["i"])) for r in rows) == want
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _single_row(csv_path):
+    """{column: cell} of a CSV holding a header and one row."""
+    header, row = csv_path.read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_emit_report_two_records_in_one_second_keep_both_csvs(
+        tmp_path, semigroup_record):
+    # same experiment and timestamp, different seeds: the second emit must
+    # not replace the first record's CSV
+    other = replace(semigroup_record,
+                    params=dict(semigroup_record.params, seed=2))
+    first = emit_report([semigroup_record], out_root=tmp_path)["csv"]
+    second = emit_report([other], out_root=tmp_path)["csv"]
+    csvs = sorted(str(p) for p in (tmp_path / "results").glob("*.csv"))
+    assert len(csvs) == 2 and csvs == sorted(first + second)
+    assert {_single_row(Path(p))["seed"] for p in csvs} \
+        == {str(semigroup_record.params["seed"]), "2"}
 
 
 def test_phase_diagram_plot_rows(tmp_path):

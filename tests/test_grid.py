@@ -6,13 +6,17 @@ from fracheat.errors import DimensionError, DomainError, SymmetryError
 from fracheat.grid import (
     SpectralField,
     TorusGrid,
+    _hermitian_defect,
     apply_semigroup,
+    band_half,
+    band_samples,
     dealiased_coeffs,
     dealiased_product,
     dealiased_samples,
     dealiased_square,
     fractional_symbol,
     from_spectral,
+    hermitian_full,
     l2_norm,
     pair_with_test_function,
     to_spectral,
@@ -57,6 +61,7 @@ def test_roundtrip_and_parseval():
         samples = rng.standard_normal(g.mode_count)
         f = to_spectral(samples, g)
         assert f.is_real
+        assert _hermitian_defect(f.coeffs) == 0.0
         back = from_spectral(f)
         assert np.allclose(back, samples, atol=1e-12)
         # (lam/M) sum samples^2 = lam sum |c|^2
@@ -175,6 +180,31 @@ def test_dealiased_square_against_brute_convolution():
             assert np.allclose(row, want,
                                atol=1e-13 * max(1.0, np.max(np.abs(want))))
             assert np.all(row[~g.dealias_mask] == 0)
+
+
+@pytest.mark.parametrize("m", [4, 8, 1024])
+def test_band_primitives_against_masked_complex_fft(m):
+    g = TorusGrid(4.0, m)
+    rng = np.random.default_rng(SEED)
+    for k_max in (m // 8, m // 3, m // 2):  # m // 2 includes the Nyquist mode
+        keep = np.abs(g.wavenumbers) <= k_max
+        for shape in ((m,), (2, m)):
+            s = rng.standard_normal(shape)
+            masked = np.where(keep, np.fft.fft(s) / m, 0.0)
+            h = band_half(s, g, k_max)
+            assert h.shape == shape[:-1] + (k_max + 1,)
+            assert np.allclose(h, masked[..., :k_max + 1], atol=1e-15)
+            assert np.allclose(hermitian_full(h, g), masked, atol=1e-15)
+            assert np.allclose(band_samples(h, g),
+                               (np.fft.ifft(masked) * m).real, atol=1e-13)
+            # any half, not only an rfft output, widens to an exactly
+            # Hermitian spectrum whose samples band_samples returns
+            z = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+            for row, zrow in zip(np.atleast_2d(hermitian_full(z, g)),
+                                 np.atleast_2d(band_samples(z, g))):
+                assert _hermitian_defect(row) == 0.0
+                assert np.allclose(from_spectral(SpectralField(g, row)), zrow,
+                                   atol=1e-13)
 
 
 def test_dealiased_square_exact_on_harmonics():

@@ -6,7 +6,8 @@ from fracheat.config import SolveConfig
 from fracheat.dyadic import algebra_constant, modulation_norm, phi_profile, sobolev_norm
 from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate
-from fracheat.grid import SpectralField, TorusGrid, dealiased_square
+from fracheat.grid import (SpectralField, TorusGrid, _hermitian_defect,
+                           dealiased_square, to_spectral)
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
@@ -214,6 +215,70 @@ def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, is_real):
     src = Trajectory(g, a1.dt, sq, is_real=is_real)
     np.testing.assert_array_equal(
         a2.coeffs, sign * duhamel_integrate(src, 0.75).coeffs)
+
+
+def _picard_terms_oracle(seed, n_terms, config, store_stride=1):
+    """Node-by-node coefficients of A_1..A_n_terms from the full-spectrum
+    march: every term on all M modes, complex transforms, and the source of
+    A_k summed over every split (k1, k - k1)."""
+    g = seed.grid
+    m = g.mode_count
+    keep = g.dealias_mask
+    decay = np.exp(-config.dt * np.abs(g.frequencies) ** (2 * config.alpha))
+    half = 0.5 * config.dt * config.sign
+
+    def to_phys(c):
+        s = np.fft.ifft(np.where(keep, c, 0.0)) * m
+        return s.real if seed.is_real else s
+
+    def source(k):
+        total = sum(phys[k1] * phys[k - k1] for k1 in range(1, k))
+        return np.where(keep, np.fft.fft(total) / m, 0.0)
+
+    coeff = [None, seed.coeffs.copy()] + [np.zeros(m, dtype=complex)
+                                          for _ in range(n_terms - 1)]
+    phys = [None] + [to_phys(c) for c in coeff[1:]]
+    fprev = [None, None] + [source(k) for k in range(2, n_terms + 1)]
+    stored = [[c] for c in coeff[1:]]
+    for i in range(1, config.n_steps + 1):
+        coeff[1] = decay * coeff[1]
+        phys[1] = to_phys(coeff[1])
+        for k in range(2, n_terms + 1):
+            fnext = source(k)
+            coeff[k] = decay * coeff[k] + half * (decay * fprev[k] + fnext)
+            fprev[k] = fnext
+            phys[k] = to_phys(coeff[k])
+        if i % store_stride == 0:
+            for rows, c in zip(stored, coeff[1:]):
+                rows.append(c)
+    return [np.array(rows) for rows in stored]
+
+
+@pytest.mark.parametrize("store_stride", [1, 4])
+@pytest.mark.parametrize("n_terms", [2, 5])
+@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms,
+                                                 store_stride):
+    # a full-band seed, so A_1 carries modes beyond the dealiased band that
+    # the real march keeps only in A_1 itself
+    g = TorusGrid(16.0, 256)
+    rng = np.random.default_rng(SEED)
+    if is_real:
+        seed = to_spectral(0.3 * rng.standard_normal(256), g)
+    else:
+        z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        seed = SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
+    terms = picard_terms(seed, n_terms, cfg, store_stride=store_stride)
+    want = _picard_terms_oracle(seed, n_terms, cfg, store_stride)
+    for term, ref in zip(terms, want):
+        assert term.is_real == is_real
+        assert term.coeffs.shape == ref.shape
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(term.coeffs - ref)) <= 1e-13 * scale
+        if is_real:
+            assert all(_hermitian_defect(row) == 0.0 for row in term.coeffs)
 
 
 def test_picard_store_stride_and_errors():
