@@ -16,8 +16,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import DegenerateWindowError, DimensionError, DomainError, ResolutionError
-from .grid import (SpectralField, TorusGrid, band_half, check_alpha,
-                   dealiased_product, hermitian_full)
+from .grid import SpectralField, TorusGrid, band_half, band_samples, check_alpha
 from .trajectory import Trajectory
 
 
@@ -178,21 +177,27 @@ def x_norm(traj: Trajectory, s: float, q: float, alpha: float,
     return a.value + b.value
 
 
+def _window_index(grid: TorusGrid, n_window: int) -> np.ndarray:
+    """Window number floor(xi_k / 2^N) of every mode (fft order), shifted so
+    the lowest window is 0; checks that 2^N fits between spacing and band."""
+    width = 2.0 ** float(n_window)
+    if width < grid.spacing:
+        raise DomainError(
+            f"window width 2^{n_window} is below the frequency spacing {grid.spacing:.3e}")
+    if width > grid.max_frequency:
+        raise DegenerateWindowError(
+            f"window width 2^{n_window} exceeds the band {grid.max_frequency:.3e}")
+    idx = np.floor(grid.frequencies / width).astype(np.int64)
+    idx -= idx.min()
+    return idx
+
+
 def modulation_norm(u: SpectralField, n_window: int) -> float:
     """(M_{2,1})_N norm with windows [m 2^N, (m+1) 2^N): sum over windows of
     the lattice L^2 mass (lam sum_{window} |c_k|^2)^{1/2}."""
-    width = 2.0 ** float(n_window)
-    g = u.grid
-    if width < g.spacing:
-        raise DomainError(
-            f"window width 2^{n_window} is below the frequency spacing {g.spacing:.3e}")
-    if width > g.max_frequency:
-        raise DegenerateWindowError(
-            f"window width 2^{n_window} exceeds the band {g.max_frequency:.3e}")
-    idx = np.floor(u.grid.frequencies / width).astype(np.int64)
-    idx -= idx.min()
-    mass = np.bincount(idx, weights=np.abs(u.coeffs) ** 2)
-    return float(np.sum(np.sqrt(g.period * mass)))
+    mass = np.bincount(_window_index(u.grid, n_window),
+                       weights=np.abs(u.coeffs) ** 2)
+    return float(np.sum(np.sqrt(u.grid.period * mass)))
 
 
 @dataclass(frozen=True)
@@ -205,23 +210,61 @@ class AlgebraReport:
     c0: float
 
 
+class _HalfNorm:
+    """modulation_norm of real fields given as rfft halves h = modes 0..k_max.
+
+    The masses are summed in fft order with the mirror conj(h) included,
+    into as many windows as the full spectrum has, so the value equals
+    modulation_norm of hermitian_full(h) bit for bit (np.sum is pairwise,
+    so the window count matters). The modes that are zero are skipped.
+    h[0] must be real, as an rfft's mode 0 is.
+    """
+
+    def __init__(self, index: np.ndarray, k_max: int, period: float):
+        self.index = np.concatenate([index[:k_max + 1],
+                                     index[index.size - k_max:]])
+        self.n_windows = int(index.max()) + 1
+        self.period = period
+        self.k_max = k_max
+        self.weights = np.empty(2 * k_max + 1)
+
+    def __call__(self, h: np.ndarray) -> float:
+        w, k = self.weights, self.k_max
+        np.square(np.abs(h, out=w[:k + 1]), out=w[:k + 1])
+        w[k + 1:] = w[k:0:-1]
+        mass = np.bincount(self.index, weights=w, minlength=self.n_windows)
+        return float(np.sum(np.sqrt(self.period * mass)))
+
+
 def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
                      seed: int = 0x5EED) -> AlgebraReport:
     """Estimate C0 in ||uv||_M <= C0 2^{N/2} ||u||_M ||v||_M.
 
     Draws seeded random real fields band-limited to |k| <= M/8 (so the product
     is an exact convolution under the 2/3 rule) and returns 1.1 x the largest
-    observed ratio.
+    observed ratio. Each pair is one (2, M) draw, carried as rfft halves in
+    buffers allocated once per call; the values are those of
+    modulation_norm and dealiased_product on the full fields.
     """
+    index = _window_index(grid, n_window)
     rng = np.random.default_rng(seed)
     m = grid.mode_count
+    k_in, k_out = m // 8, m // 3
+    norm_in = _HalfNorm(index, k_in, grid.period)
+    norm_out = _HalfNorm(index, k_out, grid.period)
+    fields = np.empty((2, m))  # the draws, then the band-limited samples
+    spectrum = np.empty((2, m // 2 + 1), dtype=np.complex128)
+    h_in = np.empty((2, k_in + 1), dtype=np.complex128)
+    h_out = np.empty(k_out + 1, dtype=np.complex128)
     half = 2.0 ** (n_window / 2.0)
     worst = 0.0
     for _ in range(n_pairs):
-        u, v = [SpectralField(grid, hermitian_full(
-            band_half(rng.standard_normal(m), grid, m // 8), grid))
-            for _ in range(2)]
-        num = modulation_norm(dealiased_product(u, v), n_window)
-        den = half * modulation_norm(u, n_window) * modulation_norm(v, n_window)
+        rng.standard_normal(out=fields)  # the same stream as two m-draws
+        band_half(fields, grid, k_in, out=h_in, work=spectrum)
+        band_samples(h_in, grid, out=fields)
+        product = np.multiply(fields[0], fields[1], out=fields[0])
+        band_half(product, grid, k_out, out=h_out, work=spectrum[0])
+        num = norm_out(h_out)
+        den = half * norm_in(h_in[0]) * norm_in(h_in[1])
         worst = max(worst, num / den)
     return AlgebraReport(n_window, n_pairs, worst, 1.1 * worst)

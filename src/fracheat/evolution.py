@@ -90,10 +90,6 @@ class IterationReport:
     n_iter: int
     blowup_time: Optional[float] = None
 
-    @property
-    def diverged(self) -> bool:
-        return not self.converged
-
 
 def fixed_point_solve(u0: SpectralField, config: SolveConfig):
     """Iterate u -> S u0 + sigma L(u^2) from the free flow; returns

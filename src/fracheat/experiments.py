@@ -36,7 +36,7 @@ from .evolution import (dilation_rescale, fixed_point_solve, integral_residual,
 from .families import (FamilySpec, build_family, build_phi_NR, build_psi_N,
                        pairing_lower_bound, phi_hat_profile, psi_hat_profile,
                        verify_cascade)
-from .grid import SpectralField, TorusGrid, apply_semigroup
+from .grid import SpectralField, TorusGrid, apply_semigroup, to_spectral
 from .picard import hs_norm_from_hat_scan, picard_terms, second_iterate_hat
 
 __all__ = [
@@ -222,8 +222,10 @@ def _grid(cfg) -> TorusGrid:
 def _run_semigroup(cfg) -> Tuple[dict, dict]:
     g = _grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    u = SpectralField(g, np.fft.fft(rng.standard_normal(g.mode_count))
-                      / g.mode_count)
+    # the complex transform of real noise: Hermitian to round-off, so the
+    # field is declared real
+    noise = rng.standard_normal(g.mode_count).astype(complex)
+    u = SpectralField(g, to_spectral(noise, g).coeffs)
     a, t, tol = cfg["alpha"], cfg["T"], cfg["tol"]
     direct = u.coeffs * np.exp(-t * np.abs(g.frequencies) ** (2.0 * a))
     scale = float(np.max(np.abs(direct)))

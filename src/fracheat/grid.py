@@ -14,7 +14,9 @@ nonnegative modes 0..k_max (the rfft half): band_half (real samples to
 modes), band_samples (modes to real samples; a short half is zero-padded,
 which is the 2/3-rule mask when it stops at M/3) and hermitian_full (a half
 widened to the full fft-order spectrum with its conjugate mirror). Complex
-fields use full complex transforms.
+fields use full complex transforms. The raw-array primitives take a
+numpy-style out= (band_half also a work= for the whole rfft), so a march
+can reuse its buffers; the values do not depend on it.
 """
 
 from __future__ import annotations
@@ -85,9 +87,11 @@ class TorusGrid:
 
 
 def _hermitian_defect(coeffs: np.ndarray) -> float:
-    mirrored = np.conj(np.roll(coeffs[::-1], 1))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    return float(np.max(np.abs(coeffs - mirrored))) / scale
+    # mode k against conj(mode -k); mode 0 is its own mirror, and
+    # |c0 - conj(c0)| = 2|Im c0|
+    mirror_gap = np.max(np.abs(coeffs[1:] - np.conj(coeffs[:0:-1])))
+    defect = max(2.0 * abs(coeffs[0].imag), float(mirror_gap))
+    return defect / max(1.0, float(np.max(np.abs(coeffs))))
 
 
 @dataclass(frozen=True)
@@ -183,21 +187,29 @@ def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(u.grid, c, is_real=real)
 
 
-def band_half(samples: np.ndarray, grid: TorusGrid, k_max: int) -> np.ndarray:
-    """Modes 0..k_max of real samples (last axis): rfft / M, truncated."""
-    return np.fft.rfft(samples)[..., :k_max + 1] / grid.mode_count
+def band_half(samples: np.ndarray, grid: TorusGrid, k_max: int,
+              out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """Modes 0..k_max of real samples (last axis): rfft / M, truncated.
+
+    work, if given, receives the whole rfft (last axis M/2+1).
+    """
+    spectrum = np.fft.rfft(samples, out=work)
+    return np.divide(spectrum[..., :k_max + 1], grid.mode_count, out=out)
 
 
-def band_samples(h: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def band_samples(h: np.ndarray, grid: TorusGrid,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Real samples (last axis) of the Hermitian field whose modes 0.. are h.
 
     Modes beyond len(h) are zero; the imaginary parts of the self-mirrored
     modes 0 and M/2 are dropped, as in hermitian_full.
     """
-    return np.fft.irfft(h, n=grid.mode_count) * grid.mode_count
+    return np.fft.irfft(h, n=grid.mode_count, norm="forward", out=out)
 
 
-def hermitian_full(h: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def hermitian_full(h: np.ndarray, grid: TorusGrid,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Full fft-order spectrum (last axis) with modes 0..len(h)-1 equal to h,
     their mirrors equal to conj(h) and every other mode zero.
 
@@ -205,7 +217,10 @@ def hermitian_full(h: np.ndarray, grid: TorusGrid) -> np.ndarray:
     the result is exactly Hermitian.
     """
     m, n = grid.mode_count, h.shape[-1]
-    out = np.zeros(h.shape[:-1] + (m,), dtype=np.complex128)
+    if out is None:
+        out = np.zeros(h.shape[:-1] + (m,), dtype=np.complex128)
+    else:
+        out[..., n:m - n + 1] = 0.0
     out[..., :n] = h
     out[..., m - n + 1:] = np.conj(h[..., :0:-1])
     out[..., 0] = out[..., 0].real
@@ -219,8 +234,8 @@ def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def dealiased_samples(coeffs: np.ndarray, grid: TorusGrid,
-                      real: bool) -> np.ndarray:
+def dealiased_samples(coeffs: np.ndarray, grid: TorusGrid, real: bool,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Samples of the 2/3-rule truncated coeffs (last axis).
 
     When real, only modes 0..M/3 are read (so coeffs may be that half alone)
@@ -228,16 +243,21 @@ def dealiased_samples(coeffs: np.ndarray, grid: TorusGrid,
     """
     m = grid.mode_count
     if real:
-        return band_samples(coeffs[..., :m // 3 + 1], grid)
-    return np.fft.ifft(_zero_aliased(np.array(coeffs, dtype=np.complex128), m)) * m
+        return band_samples(coeffs[..., :m // 3 + 1], grid, out=out)
+    if out is None:
+        out = np.array(coeffs, dtype=np.complex128)
+    else:
+        out[...] = coeffs
+    return np.fft.ifft(_zero_aliased(out, m), norm="forward", out=out)
 
 
-def dealiased_coeffs(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def dealiased_coeffs(samples: np.ndarray, grid: TorusGrid,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of samples (last axis) with modes |k| > M/3 zeroed."""
     m = grid.mode_count
     if np.iscomplexobj(samples):
-        return _zero_aliased(np.fft.fft(samples) / m, m)
-    return hermitian_full(band_half(samples, grid, m // 3), grid)
+        return _zero_aliased(np.fft.fft(samples, norm="forward", out=out), m)
+    return hermitian_full(band_half(samples, grid, m // 3), grid, out=out)
 
 
 def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray, grid: TorusGrid,

@@ -94,7 +94,8 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     Exponential-trapezoid time stepping on the shared Duhamel structure;
     quadratic sources are 2/3-rule dealiased. For a real seed the terms
     k >= 2 march on modes 0..M/3 only and are returned on the full,
-    exactly Hermitian spectrum. store_stride keeps every
+    exactly Hermitian spectrum. The samples, the source and its transform
+    live in buffers allocated once per call. store_stride keeps every
     stride-th node (stride must divide the step count), so large-M runs can
     retain endpoints only.
     """
@@ -116,50 +117,61 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     width = m // 3 + 1 if real else m
     band_decay = decay[:width]
 
-    def source(k):
-        # the splits (j, k - j) pair up: twice those with j < k - j, plus
-        # the square of A_{k/2} when k is even
-        total = 2.0 * sum(phys[j] * phys[k - j] for j in range(1, (k + 1) // 2))
-        if k % 2 == 0:
-            total = total + phys[k // 2] ** 2
-        if real:
-            return band_half(total, grid, m // 3)
-        return dealiased_coeffs(total, grid)
-
     coeff = [None, seed.coeffs.copy()] + [np.zeros(width, dtype=complex)
                                           for _ in range(n_terms - 1)]
     # each A_j with j < n_terms is transformed once per step (no source
     # reads A_n_terms); A_k's new source needs A_1..A_{k-1} at the new
     # time, so the terms advance in order
     phys = [None, dealiased_samples(coeff[1], grid, real)]
-    phys += [np.zeros_like(phys[1])] * (n_terms - 1)
-    fprev = [None, None] + [source(k) for k in range(2, n_terms + 1)]
+    phys += [np.zeros_like(phys[1]) for _ in range(2, n_terms)]
+    acc, tmp = np.empty_like(phys[1]), np.empty_like(phys[1])
+    spectrum = np.empty(m // 2 + 1, dtype=complex) if real else None
+
+    def source(k, out):
+        # the splits (j, k - j) pair up: twice those with j < k - j, plus
+        # the square of A_{k/2} when k is even
+        if k == 2:
+            np.square(phys[1], out=acc)
+        else:
+            np.multiply(phys[1], phys[k - 1], out=acc)
+            for j in range(2, (k + 1) // 2):
+                np.add(acc, np.multiply(phys[j], phys[k - j], out=tmp),
+                       out=acc)
+            np.multiply(acc, 2.0, out=acc)
+            if k % 2 == 0:
+                np.add(acc, np.square(phys[k // 2], out=tmp), out=acc)
+        if real:
+            return band_half(acc, grid, m // 3, out=out, work=spectrum)
+        return dealiased_coeffs(acc, grid, out=out)
+
+    fprev = [None, None] + [source(k, np.empty(width, dtype=complex))
+                            for k in range(2, n_terms + 1)]
+    fnext = np.empty(width, dtype=complex)
 
     n_stored = n // store_stride + 1
     stored = [np.zeros((n_stored, m), dtype=complex) for _ in range(n_terms)]
     stored[0][0] = coeff[1]
     for i in range(1, n + 1):
-        coeff[1] = decay * coeff[1]
-        phys[1] = dealiased_samples(coeff[1], grid, real)
+        np.multiply(decay, coeff[1], out=coeff[1])
+        dealiased_samples(coeff[1], grid, real, out=phys[1])
         for k in range(2, n_terms + 1):
-            fnext = source(k)
+            source(k, fnext)
             coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, band_decay,
                                       half)
-            fprev[k] = fnext
+            # the old source is dead: its buffer takes the next one
+            fprev[k], fnext = fnext, fprev[k]
             if k < n_terms:
-                phys[k] = dealiased_samples(coeff[k], grid, real)
+                dealiased_samples(coeff[k], grid, real, out=phys[k])
         if i % store_stride == 0:
             row = i // store_stride
             stored[0][row] = coeff[1]
             for k in range(2, n_terms + 1):
-                stored[k - 1][row] = (hermitian_full(coeff[k], grid) if real
-                                      else coeff[k])
+                if real:
+                    hermitian_full(coeff[k], grid, out=stored[k - 1][row])
+                else:
+                    stored[k - 1][row] = coeff[k]
     out_dt = config.dt * store_stride
     return [Trajectory(grid, out_dt, arr, is_real=real) for arr in stored]
-
-
-def _log_pow(base: float, expo: float) -> float:
-    return expo * np.log(base)
 
 
 def tail_bound(k: int, n_freq: int, r: float, t: float, c0: float) -> float:

@@ -16,7 +16,8 @@ from fracheat.dyadic import (
     x_norm,
 )
 from fracheat.errors import DegenerateWindowError, DomainError, ResolutionError
-from fracheat.grid import SpectralField, TorusGrid, fractional_symbol, l2_norm
+from fracheat.grid import (SpectralField, TorusGrid, band_half, dealiased_product,
+                           fractional_symbol, hermitian_full, l2_norm)
 from fracheat.trajectory import Trajectory
 
 from conftest import SEED, random_band_field
@@ -286,6 +287,46 @@ def test_algebra_constant():
     fresh = algebra_constant(g, 2, n_pairs=100, seed=SEED + 999)
     assert fresh.max_ratio <= rep.c0
     print(f"modulation algebra: max ratio {rep.max_ratio:.4f}, C0 {rep.c0:.4f}")
+
+
+def _algebra_max_ratio_oracle(grid, n_window, n_pairs, seed):
+    """The ratio loop on whole fields: each draw widened to its full
+    Hermitian spectrum, the field-API product and modulation_norm."""
+    rng = np.random.default_rng(seed)
+    m = grid.mode_count
+    half = 2.0 ** (n_window / 2.0)
+    worst = 0.0
+    for _ in range(n_pairs):
+        u, v = [SpectralField(grid, hermitian_full(
+            band_half(rng.standard_normal(m), grid, m // 8), grid))
+            for _ in range(2)]
+        num = modulation_norm(dealiased_product(u, v), n_window)
+        den = half * modulation_norm(u, n_window) * modulation_norm(v, n_window)
+        worst = max(worst, num / den)
+    return worst
+
+
+@pytest.mark.parametrize("lam,m,n_window,seed,n_pairs", [
+    (8.0, 512, 2, SEED, 30),
+    (4.0, 2 ** 12, 8, 3, 20),
+    (4.0, 2 ** 14, 10, SEED + 1, 10),
+    (64.0, 1024, 1, 7, 25),
+])
+def test_algebra_constant_matches_full_spectrum_oracle(lam, m, n_window, seed,
+                                                       n_pairs):
+    # the rfft-half route must reproduce the whole-field ratio bit for bit
+    g = TorusGrid(lam, m)
+    rep = algebra_constant(g, n_window, n_pairs=n_pairs, seed=seed)
+    assert rep.max_ratio == _algebra_max_ratio_oracle(g, n_window, n_pairs, seed)
+    assert rep.c0 == 1.1 * rep.max_ratio
+
+
+def test_algebra_constant_window_errors():
+    g = TorusGrid(4.0, 64)  # spacing pi/2, band 16 pi
+    with pytest.raises(DomainError):
+        algebra_constant(g, -2, n_pairs=1)
+    with pytest.raises(DegenerateWindowError):
+        algebra_constant(g, 7, n_pairs=1)
 
 
 def test_norm_report_csv_row():

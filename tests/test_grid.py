@@ -207,6 +207,69 @@ def test_band_primitives_against_masked_complex_fft(m):
                                    atol=1e-13)
 
 
+def _roll_hermitian_defect(coeffs):
+    # every mode against the conjugate of its mirror, the mirror built whole
+    mirrored = np.conj(np.roll(coeffs[::-1], 1))
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    return float(np.max(np.abs(coeffs - mirrored))) / scale
+
+
+@pytest.mark.parametrize("m", [4, 8, 1024])
+def test_hermitian_defect_equals_roll_oracle(m):
+    g = TorusGrid(4.0, m)
+    rng = np.random.default_rng(SEED)
+    cases = [rng.standard_normal(m) + 1j * rng.standard_normal(m)
+             for _ in range(5)]
+    hermitian = hermitian_full(
+        rng.standard_normal(m // 2 + 1) + 1j * rng.standard_normal(m // 2 + 1), g)
+    cases.append(hermitian)
+    imag_dc = hermitian.copy()
+    imag_dc[0] += 3e-3j
+    cases.append(imag_dc)
+    imag_nyquist = hermitian.copy()
+    imag_nyquist[m // 2] += 7e-4j
+    cases.append(imag_nyquist)
+    for c in cases:
+        assert _hermitian_defect(c) == _roll_hermitian_defect(c)
+    assert _hermitian_defect(hermitian) == 0.0
+    assert _hermitian_defect(imag_dc) > 0.0
+    assert _hermitian_defect(imag_nyquist) > 0.0
+
+
+def test_out_buffers_leave_values_unchanged():
+    # prefilled output buffers must be overwritten whole: every primitive
+    # gives with out= exactly what it gives without
+    g = TorusGrid(8.0, 64)
+    m = g.mode_count
+    rng = np.random.default_rng(SEED)
+    s = rng.standard_normal((2, m))
+    z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+
+    def junk(shape, dtype=complex):
+        return np.full(shape, 9.0 + 9.0j if dtype is complex else 9.0)
+
+    for k_max in (m // 8, m // 3, m // 2):
+        want = band_half(s, g, k_max)
+        out, work = junk((2, k_max + 1)), junk((2, m // 2 + 1))
+        assert band_half(s, g, k_max, out=out, work=work) is out
+        np.testing.assert_array_equal(out, want)
+        out = junk((2, m), float)
+        assert band_samples(want, g, out=out) is out
+        np.testing.assert_array_equal(out, band_samples(want, g))
+        out = junk((2, m))
+        assert hermitian_full(want, g, out=out) is out
+        np.testing.assert_array_equal(out, hermitian_full(want, g))
+    for data in (s, z):
+        out = junk((2, m))
+        assert dealiased_coeffs(data, g, out=out) is out
+        np.testing.assert_array_equal(out, dealiased_coeffs(data, g))
+    coeffs = dealiased_coeffs(z, g)
+    for real in (True, False):
+        out = junk((2, m), float if real else complex)
+        assert dealiased_samples(coeffs, g, real, out=out) is out
+        np.testing.assert_array_equal(out, dealiased_samples(coeffs, g, real))
+
+
 def test_dealiased_square_exact_on_harmonics():
     g = TorusGrid(8.0, 256)
     x = g.sample_points

@@ -281,6 +281,28 @@ def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms,
             assert all(_hermitian_defect(row) == 0.0 for row in term.coeffs)
 
 
+@pytest.mark.parametrize("is_real", [True, False])
+def test_picard_terms_buffers_do_not_leak(is_real):
+    # the march reuses its sample, source and transform buffers; results
+    # must not depend on a previous call or alias one another
+    g = TorusGrid(16.0, 256)
+    rng = np.random.default_rng(SEED)
+    if is_real:
+        seed = to_spectral(0.3 * rng.standard_normal(256), g)
+    else:
+        z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        seed = SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    first = picard_terms(seed, 5, cfg)
+    second = picard_terms(seed, 5, cfg)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    arrays = [t.coeffs for t in first + second] + [seed.coeffs]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_picard_store_stride_and_errors():
     g = TorusGrid(16.0, 256)
     seed = seed_field_on(g)
