@@ -1,11 +1,13 @@
 """Hot numerical kernels: the Duhamel kernel and the second-iterate quadrature.
 
-Both are plain numpy. The quadrature evaluates the kernel on row tiles of
-the (targets x nodes) plane, so each temporary holds about TILE_ELEMS
-values whatever the shape.
+Both are plain numpy. The quadrature evaluates the kernel and its weights
+on row tiles of the (targets x nodes) plane, so each temporary holds about
+TILE_ELEMS values whatever the shape.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -36,13 +38,18 @@ def duhamel_kernel_values(xi: np.ndarray, xi1: np.ndarray, t: float,
     return np.where(small, series, np.where(big, stable, quot))
 
 
-def second_iterate_values(targets: np.ndarray, xi1: np.ndarray, w: np.ndarray,
+def second_iterate_values(targets: np.ndarray, xi1: np.ndarray,
+                          weights: Callable[[int, int], np.ndarray],
                           t: float, alpha: float, prefac: float) -> np.ndarray:
-    """out[j] = prefac * sum_i w[j,i] K(targets[j], xi1[i], t)."""
+    """out[j] = prefac * sum_i w[j,i] K(targets[j], xi1[i], t).
+
+    weights(a, b) returns rows a..b-1 of w; it is called once per row tile,
+    so w is never held whole.
+    """
     out = np.empty(targets.shape[0])
     rows = max(1, TILE_ELEMS // xi1.shape[0])
     for a in range(0, targets.shape[0], rows):
         b = a + rows
         k = duhamel_kernel_values(targets[a:b, None], xi1[None, :], t, alpha)
-        out[a:b] = np.einsum("ij,ij->i", w[a:b], k)
+        out[a:b] = np.einsum("ij,ij->i", weights(a, b), k)
     return prefac * out

@@ -10,11 +10,13 @@ which covers the whole grid band once J = floor(log2(max|xi_k|)).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
+from ._threads import run_two
 from .errors import DegenerateWindowError, DimensionError, DomainError, ResolutionError
 from .grid import SpectralField, TorusGrid, band_half, band_samples, check_alpha
 from .trajectory import Trajectory
@@ -217,7 +219,8 @@ class _HalfNorm:
     into as many windows as the full spectrum has, so the value equals
     modulation_norm of hermitian_full(h) bit for bit (np.sum is pairwise,
     so the window count matters). The modes that are zero are skipped.
-    h[0] must be real, as an rfft's mode 0 is.
+    h[0] must be real, as an rfft's mode 0 is. One instance serves one
+    thread: the weights are a buffer reused by every call.
     """
 
     def __init__(self, index: np.ndarray, k_max: int, period: float):
@@ -236,35 +239,68 @@ class _HalfNorm:
         return float(np.sum(np.sqrt(self.period * mass)))
 
 
+class _PairDraws:
+    """n_pairs (2, M) draws from one generator, handed out in stream order
+    under a lock, so the k-th pair any worker gets is the k-th draw."""
+
+    def __init__(self, rng: np.random.Generator, n_pairs: int):
+        self._rng = rng
+        self._left = n_pairs
+        self._lock = threading.Lock()
+
+    def draw(self, out: np.ndarray) -> bool:
+        """Fill out with the next pair; False once the pairs are used up."""
+        with self._lock:
+            if self._left <= 0:
+                return False
+            self._left -= 1
+            self._rng.standard_normal(out=out)  # the same stream as two m-draws
+            return True
+
+    def stop(self) -> None:
+        with self._lock:
+            self._left = 0
+
+
 def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
                      seed: int = 0x5EED) -> AlgebraReport:
     """Estimate C0 in ||uv||_M <= C0 2^{N/2} ||u||_M ||v||_M.
 
     Draws seeded random real fields band-limited to |k| <= M/8 (so the product
     is an exact convolution under the 2/3 rule) and returns 1.1 x the largest
-    observed ratio. Each pair is one (2, M) draw, carried as rfft halves in
-    buffers allocated once per call; the values are those of
-    modulation_norm and dealiased_product on the full fields.
+    observed ratio; the values are those of modulation_norm and
+    dealiased_product on the full fields.
+
+    Two workers, the calling thread and one more, take the pairs in turn:
+    each pair is one (2, M) draw from the one generator, made under a lock
+    so the draws keep stream order whichever worker takes them, and is
+    carried as rfft halves in that worker's buffers, allocated once per
+    call. The maximum over pairs does not depend on which worker saw which
+    pair, so the result does not either.
     """
     index = _window_index(grid, n_window)
-    rng = np.random.default_rng(seed)
     m = grid.mode_count
     k_in, k_out = m // 8, m // 3
-    norm_in = _HalfNorm(index, k_in, grid.period)
-    norm_out = _HalfNorm(index, k_out, grid.period)
-    fields = np.empty((2, m))  # the draws, then the band-limited samples
-    spectrum = np.empty((2, m // 2 + 1), dtype=np.complex128)
-    h_in = np.empty((2, k_in + 1), dtype=np.complex128)
-    h_out = np.empty(k_out + 1, dtype=np.complex128)
     half = 2.0 ** (n_window / 2.0)
-    worst = 0.0
-    for _ in range(n_pairs):
-        rng.standard_normal(out=fields)  # the same stream as two m-draws
-        band_half(fields, grid, k_in, out=h_in, work=spectrum)
-        band_samples(h_in, grid, out=fields)
-        product = np.multiply(fields[0], fields[1], out=fields[0])
-        band_half(product, grid, k_out, out=h_out, work=spectrum[0])
-        num = norm_out(h_out)
-        den = half * norm_in(h_in[0]) * norm_in(h_in[1])
-        worst = max(worst, num / den)
-    return AlgebraReport(n_window, n_pairs, worst, 1.1 * worst)
+    draws = _PairDraws(np.random.default_rng(seed), n_pairs)
+    worst = [0.0, 0.0]
+
+    def worker(slot):
+        norm_in = _HalfNorm(index, k_in, grid.period)
+        norm_out = _HalfNorm(index, k_out, grid.period)
+        fields = np.empty((2, m))  # the draws, then the band-limited samples
+        spectrum = np.empty((2, m // 2 + 1), dtype=np.complex128)
+        h_in = np.empty((2, k_in + 1), dtype=np.complex128)
+        h_out = np.empty(k_out + 1, dtype=np.complex128)
+        while draws.draw(fields):
+            band_half(fields, grid, k_in, out=h_in, work=spectrum)
+            band_samples(h_in, grid, out=fields)
+            product = np.multiply(fields[0], fields[1], out=fields[0])
+            band_half(product, grid, k_out, out=h_out, work=spectrum[0])
+            num = norm_out(h_out)
+            den = half * norm_in(h_in[0]) * norm_in(h_in[1])
+            worst[slot] = max(worst[slot], num / den)
+
+    run_two(lambda: worker(0), lambda: worker(1), draws.stop, "pairs")
+    top = max(worst)
+    return AlgebraReport(n_window, n_pairs, top, 1.1 * top)

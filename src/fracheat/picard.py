@@ -15,11 +15,13 @@ pure bookkeeping and the dual-route tests exercise the time quadrature only.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List
 
 import numpy as np
 
 from . import _kernels
+from ._threads import run_two
 from .config import SolveConfig
 from .errors import ConfigError, DomainError, ResolutionError
 from .evolution import trapezoid_step
@@ -60,7 +62,9 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
 
     Riemann sum 2 (2 pi/lam) sum_{xi1 lattice} phihat(xi1) phihat(xi-xi1)
     K(xi, xi1, t) over the support of phihat, which must sit strictly inside
-    the lattice band.
+    the lattice band. phihat must act elementwise: the weights
+    phihat(xi1) phihat(xi - xi1) are built one row tile of targets at a
+    time, so memory does not grow with targets x nodes.
     """
     check_alpha(alpha)
     if t < 0:
@@ -79,12 +83,51 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
         vals = np.zeros(targets.shape[0])
     else:
         xi1 = freqs[nz]
-        w = w1[nz][None, :] * np.asarray(phihat(targets[:, None] - xi1[None, :]),
-                                         dtype=float)
+        w1 = w1[nz][None, :]
+
+        def weights(a, b):
+            pair = targets[a:b, None] - xi1[None, :]
+            return w1 * np.asarray(phihat(pair), dtype=float)
+
         prefac = 4.0 * np.pi / lattice.period
         vals = _kernels.second_iterate_values(
-            targets, xi1, w, float(t), float(alpha), prefac)
+            targets, xi1, weights, float(t), float(alpha), prefac)
     return float(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
+
+
+class _Handoff:
+    """The leading stage's samples of A_1..A_split, passed to the trailing
+    stage in two slots indexed by step parity.
+
+    The trailer reads step i's slot while the leader fills step i + 1's;
+    the free count keeps the leader from refilling a slot the trailer has
+    not finished with. abort() wakes whichever stage waits, and claim() and
+    take() then report False.
+    """
+
+    def __init__(self):
+        self._posted = threading.Semaphore(0)
+        self._free = threading.Semaphore(2)
+        self.failed = False
+
+    def claim(self) -> bool:
+        self._free.acquire()
+        return not self.failed
+
+    def post(self) -> None:
+        self._posted.release()
+
+    def take(self) -> bool:
+        self._posted.acquire()
+        return not self.failed
+
+    def done(self) -> None:
+        self._free.release()
+
+    def abort(self) -> None:
+        self.failed = True
+        self._posted.release()
+        self._free.release()
 
 
 def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
@@ -94,10 +137,19 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     Exponential-trapezoid time stepping on the shared Duhamel structure;
     quadratic sources are 2/3-rule dealiased. For a real seed the terms
     k >= 2 march on modes 0..M/3 only and are returned on the full,
-    exactly Hermitian spectrum. The samples, the source and its transform
-    live in buffers allocated once per call. store_stride keeps every
-    stride-th node (stride must divide the step count), so large-M runs can
-    retain endpoints only.
+    exactly Hermitian spectrum. store_stride keeps every stride-th node
+    (stride must divide the step count), so large-M runs can retain
+    endpoints only.
+
+    The march runs on two threads as a wavefront. A_k at step i needs
+    A_1..A_{k-1} at step i and A_k at step i-1, so the calling thread
+    marches A_1..A_{K/2} (K = n_terms, rounded down, at least A_1) and a
+    worker marches the rest one step behind, reading the leader's samples
+    from two slots indexed by step parity. Each stage writes its samples,
+    source and transform into its own buffers, allocated once per call,
+    and each term's arithmetic is that of a one-thread march, so the
+    values do not depend on the schedule. An error in either stage is
+    raised here after both have stopped.
     """
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
@@ -116,60 +168,95 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     # modes 0..M/3 of the rfft half and are widened only when stored
     width = m // 3 + 1 if real else m
     band_decay = decay[:width]
-
-    coeff = [None, seed.coeffs.copy()] + [np.zeros(width, dtype=complex)
-                                          for _ in range(n_terms - 1)]
-    # each A_j with j < n_terms is transformed once per step (no source
-    # reads A_n_terms); A_k's new source needs A_1..A_{k-1} at the new
-    # time, so the terms advance in order
-    phys = [None, dealiased_samples(coeff[1], grid, real)]
-    phys += [np.zeros_like(phys[1]) for _ in range(2, n_terms)]
-    acc, tmp = np.empty_like(phys[1]), np.empty_like(phys[1])
-    spectrum = np.empty(m // 2 + 1, dtype=complex) if real else None
-
-    def source(k, out):
-        # the splits (j, k - j) pair up: twice those with j < k - j, plus
-        # the square of A_{k/2} when k is even
-        if k == 2:
-            np.square(phys[1], out=acc)
-        else:
-            np.multiply(phys[1], phys[k - 1], out=acc)
-            for j in range(2, (k + 1) // 2):
-                np.add(acc, np.multiply(phys[j], phys[k - j], out=tmp),
-                       out=acc)
-            np.multiply(acc, 2.0, out=acc)
-            if k % 2 == 0:
-                np.add(acc, np.square(phys[k // 2], out=tmp), out=acc)
-        if real:
-            return band_half(acc, grid, m // 3, out=out, work=spectrum)
-        return dealiased_coeffs(acc, grid, out=out)
-
-    fprev = [None, None] + [source(k, np.empty(width, dtype=complex))
-                            for k in range(2, n_terms + 1)]
-    fnext = np.empty(width, dtype=complex)
+    sample_dtype = float if real else complex
 
     n_stored = n // store_stride + 1
     stored = [np.zeros((n_stored, m), dtype=complex) for _ in range(n_terms)]
-    stored[0][0] = coeff[1]
-    for i in range(1, n + 1):
-        np.multiply(decay, coeff[1], out=coeff[1])
-        dealiased_samples(coeff[1], grid, real, out=phys[1])
-        for k in range(2, n_terms + 1):
-            source(k, fnext)
-            coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, band_decay,
-                                      half)
-            # the old source is dead: its buffer takes the next one
-            fprev[k], fnext = fnext, fprev[k]
-            if k < n_terms:
-                dealiased_samples(coeff[k], grid, real, out=phys[k])
-        if i % store_stride == 0:
-            row = i // store_stride
-            stored[0][row] = coeff[1]
-            for k in range(2, n_terms + 1):
-                if real:
-                    hermitian_full(coeff[k], grid, out=stored[k - 1][row])
-                else:
-                    stored[k - 1][row] = coeff[k]
+    stored[0][0] = seed.coeffs
+
+    def stage(terms):
+        """Step function of the terms k >= 2 in `terms`, on their own
+        buffers; phys[j] holds A_j's samples at the step being made."""
+        acc = np.empty(m, dtype=sample_dtype)
+        tmp = np.empty_like(acc)
+        spectrum = np.empty(m // 2 + 1, dtype=complex) if real else None
+        coeff = {k: np.zeros(width, dtype=complex) for k in terms}
+        fprev = {k: np.empty(width, dtype=complex) for k in terms}
+        spare = np.empty(width, dtype=complex)
+
+        def source(k, phys, out):
+            # the splits (j, k - j) pair up: twice those with j < k - j,
+            # plus the square of A_{k/2} when k is even
+            if k == 2:
+                np.square(phys[1], out=acc)
+            else:
+                np.multiply(phys[1], phys[k - 1], out=acc)
+                for j in range(2, (k + 1) // 2):
+                    np.add(acc, np.multiply(phys[j], phys[k - j], out=tmp),
+                           out=acc)
+                np.multiply(acc, 2.0, out=acc)
+                if k % 2 == 0:
+                    np.add(acc, np.square(phys[k // 2], out=tmp), out=acc)
+            if real:
+                return band_half(acc, grid, m // 3, out=out, work=spectrum)
+            return dealiased_coeffs(acc, grid, out=out)
+
+        def step(i, phys):
+            nonlocal spare
+            if i == 0:
+                for k in terms:
+                    source(k, phys, fprev[k])
+                return
+            for k in terms:
+                fnext = source(k, phys, spare)
+                coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext,
+                                          band_decay, half)
+                # the old source is dead: its buffer takes the next one
+                fprev[k], spare = fnext, fprev[k]
+                if k < n_terms:
+                    dealiased_samples(coeff[k], grid, real, out=phys[k])
+            if i % store_stride == 0:
+                row = i // store_stride
+                for k in terms:
+                    if real:
+                        hermitian_full(coeff[k], grid, out=stored[k - 1][row])
+                    else:
+                        stored[k - 1][row] = coeff[k]
+
+        return step
+
+    split = max(1, n_terms // 2)
+    # phys[k] is zero at step 0 for k >= 2; A_n_terms is read by no source
+    slots = [[None] + [np.zeros(m, dtype=sample_dtype) for _ in range(split)]
+             for _ in range(2)]
+    own = [np.zeros(m, dtype=sample_dtype) for _ in range(split + 1, n_terms)]
+    trail_phys = [slot + own for slot in slots]
+    lead_step = stage(range(2, split + 1))
+    trail_step = stage(range(split + 1, n_terms + 1))
+    a1 = seed.coeffs.copy()
+    handoff = _Handoff()
+
+    def lead():
+        for i in range(n + 1):
+            if not handoff.claim():
+                return
+            phys = slots[i % 2]
+            if i > 0:
+                np.multiply(decay, a1, out=a1)
+                if i % store_stride == 0:
+                    stored[0][i // store_stride] = a1
+            dealiased_samples(a1, grid, real, out=phys[1])
+            lead_step(i, phys)
+            handoff.post()
+
+    def trail():
+        for i in range(n + 1):
+            if not handoff.take():
+                return
+            trail_step(i, trail_phys[i % 2])
+            handoff.done()
+
+    run_two(lead, trail, handoff.abort, "march")
     out_dt = config.dt * store_stride
     return [Trajectory(grid, out_dt, arr, is_real=real) for arr in stored]
 

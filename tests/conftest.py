@@ -1,9 +1,38 @@
+import threading
+
 import numpy as np
 import pytest
 
 from fracheat.grid import SpectralField, TorusGrid
 
 SEED = 0x5EED
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    # the two-thread loops must join their worker on every exit path
+    yield
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith("fracheat-")]
+    assert not alive, f"threads left running: {alive}"
+
+
+def raised_within(fn, timeout=60.0):
+    """The exception fn() raises (None if it returns), run on a daemon thread
+    joined with a timeout, so a hang fails the test instead of the run."""
+    caught = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            caught.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"call still running after {timeout} s"
+    return caught[0] if caught else None
 
 
 @pytest.fixture

@@ -1,6 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from fracheat import dyadic
 from fracheat.dyadic import (
     AlgebraReport,
     NormReport,
@@ -20,7 +25,7 @@ from fracheat.grid import (SpectralField, TorusGrid, band_half, dealiased_produc
                            fractional_symbol, hermitian_full, l2_norm)
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED, random_band_field
+from conftest import SEED, raised_within, random_band_field
 
 
 def test_eta_profile():
@@ -311,14 +316,56 @@ def _algebra_max_ratio_oracle(grid, n_window, n_pairs, seed):
     (4.0, 2 ** 12, 8, 3, 20),
     (4.0, 2 ** 14, 10, SEED + 1, 10),
     (64.0, 1024, 1, 7, 25),
+    # one pair leaves a worker without any, three split unevenly
+    (8.0, 512, 2, SEED, 1),
+    (4.0, 2 ** 12, 8, 3, 3),
 ])
 def test_algebra_constant_matches_full_spectrum_oracle(lam, m, n_window, seed,
                                                        n_pairs):
-    # the rfft-half route must reproduce the whole-field ratio bit for bit
+    # the rfft-half route must reproduce the whole-field ratio bit for bit,
+    # whichever of the two workers takes which pair
     g = TorusGrid(lam, m)
     rep = algebra_constant(g, n_window, n_pairs=n_pairs, seed=seed)
     assert rep.max_ratio == _algebra_max_ratio_oracle(g, n_window, n_pairs, seed)
     assert rep.c0 == 1.1 * rep.max_ratio
+    again = [algebra_constant(g, n_window, n_pairs=n_pairs, seed=seed).c0
+             for _ in range(3)]
+    assert again == [rep.c0] * 3
+
+
+def test_algebra_constant_matches_oracle_under_fast_switching():
+    # a thread switch every microsecond interleaves the workers' draws
+    # finely; a draw taken out of stream order would change the ratio
+    g = TorusGrid(8.0, 512)
+    want = _algebra_max_ratio_oracle(g, 2, 40, SEED)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [algebra_constant(g, 2, n_pairs=40, seed=SEED).max_ratio
+               for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+@pytest.mark.parametrize("worker", ["caller", "fracheat-pairs"])
+def test_algebra_constant_worker_error_reaches_caller(monkeypatch, worker):
+    # the other worker is slowed so the chosen one surely takes a pair
+    real_band_half = dyadic.band_half
+
+    def band_half(*args, **kwargs):
+        here = threading.current_thread().name
+        if (here == "fracheat-pairs") == (worker == "fracheat-pairs"):
+            raise RuntimeError("injected band_half failure")
+        time.sleep(0.001)
+        return real_band_half(*args, **kwargs)
+
+    monkeypatch.setattr(dyadic, "band_half", band_half)
+    exc = raised_within(
+        lambda: algebra_constant(TorusGrid(8.0, 512), 2, n_pairs=200))
+    assert isinstance(exc, RuntimeError)
+    assert str(exc) == "injected band_half failure"
+    assert not any(t.name == "fracheat-pairs" for t in threading.enumerate())
 
 
 def test_algebra_constant_window_errors():

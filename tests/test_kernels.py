@@ -33,7 +33,8 @@ def _second_iterate_oracle(targets, xi1, w, t, alpha, prefac):
 
 
 def _assert_matches_oracle(targets, xi1, w, t, alpha, prefac=1.0):
-    got = _kernels.second_iterate_values(targets, xi1, w, t, alpha, prefac)
+    got = _kernels.second_iterate_values(targets, xi1, lambda a, b: w[a:b],
+                                         t, alpha, prefac)
     want = _second_iterate_oracle(targets, xi1, w, t, alpha, prefac)
     assert got.shape == want.shape == (targets.shape[0],)
     scale = max(np.max(np.abs(want)), 1e-300)
@@ -86,6 +87,7 @@ def test_second_iterate_tile_edges():
     w = rng.uniform(0.5, 1.5, (targets.size, xi1.size))
     _assert_matches_oracle(targets, xi1, w, 0.3, 0.75)
     # no targets
-    out = _kernels.second_iterate_values(np.empty(0), xi1, np.empty((0, xi1.size)),
+    out = _kernels.second_iterate_values(np.empty(0), xi1,
+                                         lambda a, b: np.empty((0, xi1.size)),
                                          0.3, 0.75, 1.0)
     assert out.shape == (0,)

@@ -1,13 +1,21 @@
+import sys
+import threading
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
+from fracheat import picard
+
 from fracheat.config import SolveConfig
 from fracheat.dyadic import algebra_constant, modulation_norm, phi_profile, sobolev_norm
 from fracheat.errors import ConfigError, DomainError, ResolutionError
-from fracheat.evolution import duhamel_integrate
+from fracheat.evolution import duhamel_integrate, trapezoid_step
 from fracheat.grid import (SpectralField, TorusGrid, _hermitian_defect,
-                           dealiased_square, to_spectral)
+                           band_half, dealiased_coeffs, dealiased_samples,
+                           dealiased_square, fractional_symbol,
+                           hermitian_full, to_spectral)
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
@@ -19,7 +27,7 @@ from fracheat.picard import (
 )
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED
+from conftest import SEED, raised_within
 
 
 def test_theta_closed_forms():
@@ -301,6 +309,172 @@ def test_picard_terms_buffers_do_not_leak(is_real):
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def _picard_terms_serial_oracle(seed, n_terms, config, store_stride=1):
+    """Node-by-node coefficients of A_1..A_n_terms from the one-thread
+    march: the same buffers, sources and steps as picard_terms, with every
+    term advanced in order on this thread."""
+    grid = seed.grid
+    n = config.n_steps
+    m = grid.mode_count
+    decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
+    half = 0.5 * config.dt * float(config.sign)
+    real = seed.is_real
+    width = m // 3 + 1 if real else m
+    band_decay = decay[:width]
+
+    coeff = [None, seed.coeffs.copy()] + [np.zeros(width, dtype=complex)
+                                          for _ in range(n_terms - 1)]
+    phys = [None, dealiased_samples(coeff[1], grid, real)]
+    phys += [np.zeros_like(phys[1]) for _ in range(2, n_terms)]
+    acc, tmp = np.empty_like(phys[1]), np.empty_like(phys[1])
+    spectrum = np.empty(m // 2 + 1, dtype=complex) if real else None
+
+    def source(k, out):
+        if k == 2:
+            np.square(phys[1], out=acc)
+        else:
+            np.multiply(phys[1], phys[k - 1], out=acc)
+            for j in range(2, (k + 1) // 2):
+                np.add(acc, np.multiply(phys[j], phys[k - j], out=tmp),
+                       out=acc)
+            np.multiply(acc, 2.0, out=acc)
+            if k % 2 == 0:
+                np.add(acc, np.square(phys[k // 2], out=tmp), out=acc)
+        if real:
+            return band_half(acc, grid, m // 3, out=out, work=spectrum)
+        return dealiased_coeffs(acc, grid, out=out)
+
+    fprev = [None, None] + [source(k, np.empty(width, dtype=complex))
+                            for k in range(2, n_terms + 1)]
+    fnext = np.empty(width, dtype=complex)
+
+    stored = [np.zeros((n // store_stride + 1, m), dtype=complex)
+              for _ in range(n_terms)]
+    stored[0][0] = coeff[1]
+    for i in range(1, n + 1):
+        np.multiply(decay, coeff[1], out=coeff[1])
+        dealiased_samples(coeff[1], grid, real, out=phys[1])
+        for k in range(2, n_terms + 1):
+            source(k, fnext)
+            coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, band_decay,
+                                      half)
+            fprev[k], fnext = fnext, fprev[k]
+            if k < n_terms:
+                dealiased_samples(coeff[k], grid, real, out=phys[k])
+        if i % store_stride == 0:
+            row = i // store_stride
+            stored[0][row] = coeff[1]
+            for k in range(2, n_terms + 1):
+                if real:
+                    hermitian_full(coeff[k], grid, out=stored[k - 1][row])
+                else:
+                    stored[k - 1][row] = coeff[k]
+    return stored
+
+
+def _full_band_seed(is_real):
+    g = TorusGrid(16.0, 256)
+    rng = np.random.default_rng(SEED)
+    if is_real:
+        return to_spectral(0.3 * rng.standard_normal(256), g)
+    z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    return SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+
+
+@pytest.mark.parametrize("store_stride", [1, 4])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 12])
+@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms,
+                                          store_stride):
+    # the two-stage wavefront does each term's arithmetic of the one-thread
+    # march, so the trajectories are bit for bit the same
+    seed = _full_band_seed(is_real)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
+    terms = picard_terms(seed, n_terms, cfg, store_stride=store_stride)
+    want = _picard_terms_serial_oracle(seed, n_terms, cfg, store_stride)
+    assert len(terms) == n_terms
+    for term, ref in zip(terms, want):
+        np.testing.assert_array_equal(term.coeffs, ref)
+
+
+def test_picard_terms_equal_serial_oracle_under_fast_switching():
+    # a thread switch every microsecond shuffles how the stages interleave;
+    # a slot refilled before the trailing stage read it would show here
+    seed = _full_band_seed(True)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    want = _picard_terms_serial_oracle(seed, 12, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [picard_terms(seed, 12, cfg) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for terms in runs:
+        for term, ref in zip(terms, want):
+            np.testing.assert_array_equal(term.coeffs, ref)
+
+
+def _fail_on(name, thread, at):
+    """Wrap picard.<name> so its at-th call on the stage named `thread`
+    ("lead" is the calling thread, "trail" the worker) raises."""
+    real_fn = getattr(picard, name)
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        here = threading.current_thread().name
+        if (here == "fracheat-march") == (thread == "trail"):
+            calls[0] += 1
+            if calls[0] == at:
+                raise RuntimeError(f"injected {name} failure")
+        return real_fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("thread", ["lead", "trail"])
+@pytest.mark.parametrize("name,at", [("band_half", 1), ("band_half", 9),
+                                     ("trapezoid_step", 1),
+                                     ("trapezoid_step", 20)])
+def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
+                                                 at):
+    # band_half's first call is at step 0 (the initial sources), so the
+    # other stage is then still waiting on the first handoff; the later
+    # calls fail mid-march. Either way the error is raised here and the
+    # worker is gone (the autouse fixture checks the thread list too).
+    monkeypatch.setattr(picard, name, _fail_on(name, thread, at))
+    seed = _full_band_seed(True)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    exc = raised_within(lambda: picard_terms(seed, 6, cfg))
+    assert isinstance(exc, RuntimeError)
+    assert str(exc) == f"injected {name} failure"
+    assert not any(t.name == "fracheat-march" for t in threading.enumerate())
+
+
+def test_second_iterate_peak_memory_does_not_grow_with_targets():
+    # the weights are built per row tile, so no (targets x nodes) array is
+    # held; 1024 nodes against 256 and then 2048 targets
+    g = TorusGrid(64.0, 2 ** 12)
+    lo, hi = (20 - 0.5) * g.spacing, (20 + 512 - 0.5) * g.spacing
+
+    def profile(xi):
+        a = np.abs(xi)
+        return ((a > lo) & (a < hi)).astype(float)
+
+    peaks = []
+    for n_targets in (256, 2048):
+        targets = np.linspace(-8.0, 8.0, n_targets)
+        tracemalloc.start()
+        try:
+            second_iterate_hat(profile, 0.5, targets, 0.75, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plane = 2048 * 1024 * 8  # bytes of one float (targets x nodes) array
+    assert peaks[1] < plane / 2
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_picard_store_stride_and_errors():
