@@ -293,7 +293,10 @@ def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
         h_in = np.empty((2, k_in + 1), dtype=np.complex128)
         h_out = np.empty(k_out + 1, dtype=np.complex128)
         while draws.draw(fields):
-            band_half(fields, grid, k_in, out=h_in, work=spectrum)
+            # one rfft per row: a batched one faults in fresh pages per call
+            for row in range(2):
+                band_half(fields[row], grid, k_in, out=h_in[row],
+                          work=spectrum[row])
             band_samples(h_in, grid, out=fields)
             product = np.multiply(fields[0], fields[1], out=fields[0])
             band_half(product, grid, k_out, out=h_out, work=spectrum[0])

@@ -9,9 +9,11 @@ a trapezoid correction to the source:
 
 It is unconditionally stable for the stiff multiplier and second order in
 dt, and trapezoid_step is its one implementation: duhamel_integrate and the
-Picard march (picard.picard_terms) both step through it. The fixed-point
-solver iterates the integral map itself, so its per-iteration difference
-norms double as contraction diagnostics.
+Picard march (picard.picard_terms) both step through it, into buffers they
+own. The fixed-point solver iterates the integral map itself, so its
+per-iteration difference norms double as contraction diagnostics; it
+squares a trajectory with grid.dealiased_product_coeffs, so an exactly even
+real iterate takes the cosine basis there too.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .config import SolveConfig
 from .dyadic import DyadicPartition, make_partition, sobolev_norm, x_norm
 from .errors import DimensionError, DomainError, ResolutionError
-from .grid import (SpectralField, TorusGrid, check_alpha, dealiased_coeffs,
-                   dealiased_samples, fractional_symbol)
+from .grid import (SpectralField, TorusGrid, check_alpha,
+                   dealiased_product_coeffs, fractional_symbol)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -42,9 +44,19 @@ __all__ = [
 ]
 
 
-def trapezoid_step(acc, f_prev, f_next, decay, half_dt):
-    """E*I(t) + (dt/2)*(E*f(t) + f(t+dt)); half_dt may carry a folded sign."""
-    return decay * acc + half_dt * (decay * f_prev + f_next)
+def trapezoid_step(acc, f_prev, f_next, decay, half_dt, out=None, tmp=None):
+    """E*I(t) + (dt/2)*(E*f(t) + f(t+dt)); half_dt may carry a folded sign.
+
+    out (which may be acc) receives the result and tmp the bracket; either
+    is allocated when not given, and tmp must not overlap acc or out. The
+    operations are those of the one-expression form, so the values do not
+    depend on the buffers.
+    """
+    tmp = np.multiply(decay, f_prev, out=tmp)
+    np.add(tmp, f_next, out=tmp)
+    np.multiply(half_dt, tmp, out=tmp)
+    out = np.multiply(decay, acc, out=out)
+    return np.add(out, tmp, out=out)
 
 
 def duhamel_integrate(source: Trajectory, alpha: float) -> Trajectory:
@@ -53,9 +65,10 @@ def duhamel_integrate(source: Trajectory, alpha: float) -> Trajectory:
     decay = np.exp(-source.dt * fractional_symbol(g, alpha))
     half = 0.5 * source.dt
     out = np.zeros_like(source.coeffs)
+    tmp = np.empty_like(out[0])
     for i in range(source.n_nodes - 1):
-        out[i + 1] = trapezoid_step(out[i], source.coeffs[i],
-                                    source.coeffs[i + 1], decay, half)
+        trapezoid_step(out[i], source.coeffs[i], source.coeffs[i + 1], decay,
+                       half, out=out[i + 1], tmp=tmp)
     return Trajectory(g, source.dt, out, is_real=source.is_real)
 
 
@@ -70,7 +83,7 @@ def _integral_map(u: Trajectory, free: np.ndarray,
     if config.sign == 0:
         return free
     g = u.grid
-    sq = dealiased_coeffs(dealiased_samples(u.coeffs, g, u.is_real) ** 2, g)
+    sq = dealiased_product_coeffs(u.coeffs, u.coeffs, g, real_inputs=u.is_real)
     src = Trajectory(g, u.dt, sq, is_real=u.is_real)
     return free + config.sign * duhamel_integrate(src, config.alpha).coeffs
 

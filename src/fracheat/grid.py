@@ -9,14 +9,29 @@ The dictionary to the continuum objects is
 so integrals int dxi become (2*pi/lam) * sum_k and every norm below is the
 lattice Riemann sum of its continuum counterpart.
 
-Real fields take a real-spectrum path through three primitives on the
-nonnegative modes 0..k_max (the rfft half): band_half (real samples to
-modes), band_samples (modes to real samples; a short half is zero-padded,
-which is the 2/3-rule mask when it stops at M/3) and hermitian_full (a half
-widened to the full fft-order spectrum with its conjugate mirror). Complex
-fields use full complex transforms. The raw-array primitives take a
-numpy-style out= (band_half also a work= for the whole rfft), so a march
-can reuse its buffers; the values do not depend on it.
+The dealiased product carries its band |k| <= M/3 in one of three bases,
+chosen by field_basis from the symmetry of the inputs alone:
+
+- ComplexBasis, for complex fields: the full spectrum and M complex
+  samples, through full complex transforms.
+- HalfBasis, for real fields: modes 0..M/3 (the rfft half) and M real
+  samples, through band_half (real samples to modes) and band_samples
+  (modes to real samples; a short half is zero-padded, which is the 2/3
+  rule when it stops at M/3). hermitian_full widens a half to the full
+  fft-order spectrum with its conjugate mirror.
+- CosineBasis, for real fields whose coefficients are exactly even (real,
+  and c_{-k} == c_k bit for bit): real cosine coefficients on modes
+  0..M/3 and M/2 real samples, through cosine_band and cosine_samples.
+  These are Makhoul's DCT-II/DCT-III pair over one length-M/2 rfft or
+  irfft and one twiddle multiply. The samples sit on the half-shifted
+  grid x_j = (j + 1/2) lam/M, j < M/2 (the other half is their mirror),
+  in Makhoul's permuted order. Only pointwise products read them, and
+  the 2/3-rule product is exact on any shifted grid, so neither the
+  shift nor the order is undone.
+
+The raw-array primitives take a numpy-style out= (band_half and the cosine
+pair also a work= for the half-length complex buffer of their transform),
+so a march can reuse its buffers; the values do not depend on it.
 """
 
 from __future__ import annotations
@@ -74,6 +89,14 @@ class TorusGrid:
     def dealias_mask(self) -> np.ndarray:
         # 2/3 rule: keep |k| <= M/3
         return np.abs(self.wavenumbers) <= self.mode_count // 3
+
+    @cached_property
+    def cosine_twiddles(self) -> tuple:
+        """(e^{-i pi k/M}, e^{i pi k/M}) for k = 0..M/4, the twiddles of the
+        cosine pair."""
+        w = np.exp((-1j * np.pi / self.mode_count)
+                   * np.arange(self.mode_count // 4 + 1))
+        return w, np.conj(w)
 
     @property
     def spacing(self) -> float:
@@ -229,6 +252,153 @@ def hermitian_full(h: np.ndarray, grid: TorusGrid,
     return out
 
 
+def cosine_samples(c: np.ndarray, grid: TorusGrid,
+                   out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """M/2 real samples (last axis) of the even field whose cosine
+    coefficients on modes 0..len(c)-1 (at most M/2) are the real c.
+
+    The samples are f(x_j) at x_j = (j + 1/2) lam/M in Makhoul's order:
+    entry j is sample 2j and entry M/2-1-j is sample 2j+1, j < M/4. Modes
+    beyond len(c) are zero. work, if given, holds the M/4+1 complex
+    inputs of the irfft.
+    """
+    n, n_c = grid.mode_count // 2, c.shape[-1]
+    h = n // 2
+    if work is None:
+        work = np.empty(c.shape[:-1] + (h + 1,), dtype=np.complex128)
+    # z_k = e^{i pi k/M} (c_k - i c_{n-k}), k = 0..n/2; c_n and c_{>=n_c} are 0
+    r = min(n_c, h + 1)
+    work.real[..., :r] = c[..., :r]
+    work.real[..., r:] = 0.0
+    lo = max(n - n_c + 1, 1)
+    work.imag[..., :lo] = 0.0
+    np.negative(c[..., n - lo:n - h - 1:-1], out=work.imag[..., lo:])
+    np.multiply(work, grid.cosine_twiddles[1], out=work)
+    return np.fft.irfft(work, n=n, norm="forward", out=out)
+
+
+def cosine_band(samples: np.ndarray, grid: TorusGrid, k_max: int,
+                out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """Cosine coefficients on modes 0..k_max (k_max < M/2) of the M/2
+    samples (last axis) in cosine_samples' grid and order, divided by M
+    as band_half divides: the real modes c_k of the even field.
+
+    work, if given, receives the whole rfft (last axis M/4+1).
+    """
+    n = grid.mode_count // 2
+    h = n // 2
+    z = np.fft.rfft(samples, norm="forward", out=work)
+    np.multiply(z, grid.cosine_twiddles[0], out=z)
+    if out is None:
+        out = np.empty(samples.shape[:-1] + (k_max + 1,))
+    # c_k = Re(w_k z_k) and c_{n-k} = -Im(w_k z_k), k = 0..n/2
+    r = min(k_max, h)
+    out[..., :r + 1] = z.real[..., :r + 1]
+    np.negative(z.imag[..., h - 1:n - k_max - 1:-1], out=out[..., h + 1:])
+    return out
+
+
+class ComplexBasis:
+    """A complex field's dealiased band: the full fft-order spectrum and M
+    complex samples. The coefficients of a march need no widening."""
+
+    coeff_dtype = sample_dtype = np.complex128
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+        self.width = self.n_samples = grid.mode_count
+
+    def band(self, full):
+        return full
+
+    def samples(self, c, out=None, work=None):
+        return dealiased_samples(c, self.grid, False, out=out)
+
+    def coeffs(self, samples, out=None, work=None):
+        return dealiased_coeffs(samples, self.grid, out=out)
+
+    def widen(self, c, out=None):
+        if out is None:
+            return c
+        out[...] = c
+        return out
+
+    def workspace(self):
+        return None
+
+
+class HalfBasis:
+    """A real field's dealiased band: modes 0..M/3 of the rfft half and M
+    real samples, widened with the conjugate mirror."""
+
+    coeff_dtype, sample_dtype = np.complex128, np.float64
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+        self.width = grid.mode_count // 3 + 1
+        self.n_samples = grid.mode_count
+
+    def band(self, full):
+        return full[..., :self.width]
+
+    def samples(self, c, out=None, work=None):
+        return band_samples(c, self.grid, out=out)
+
+    def coeffs(self, samples, out=None, work=None):
+        return band_half(samples, self.grid, self.width - 1, out=out,
+                         work=work)
+
+    def widen(self, c, out=None):
+        return hermitian_full(c, self.grid, out=out)
+
+    def workspace(self):
+        return np.empty(self.grid.mode_count // 2 + 1, dtype=np.complex128)
+
+
+class CosineBasis(HalfBasis):
+    """An even real field's dealiased band: real cosine coefficients on
+    modes 0..M/3 and M/2 samples on the half-shifted grid, widened as a
+    half whose mirror is itself."""
+
+    coeff_dtype = np.float64
+
+    def __init__(self, grid: TorusGrid):
+        super().__init__(grid)
+        self.n_samples = grid.mode_count // 2
+
+    def band(self, full):
+        return full[..., :self.width].real
+
+    def samples(self, c, out=None, work=None):
+        return cosine_samples(c, self.grid, out=out, work=work)
+
+    def coeffs(self, samples, out=None, work=None):
+        return cosine_band(samples, self.grid, self.width - 1, out=out,
+                           work=work)
+
+    def workspace(self):
+        return np.empty(self.grid.mode_count // 4 + 1, dtype=np.complex128)
+
+
+def _exactly_even(c: np.ndarray) -> bool:
+    # real coefficients with c_{-k} == c_k bit for bit, on every row
+    return (not np.any(c.imag)
+            and np.array_equal(c.real[..., 1:], c.real[..., :0:-1]))
+
+
+def field_basis(grid: TorusGrid, real: bool, *coeffs: np.ndarray):
+    """The basis of a product of fields with these full fft-order spectra:
+    cosine when they are real and every one is exactly even, the rfft half
+    when they are real, complex otherwise."""
+    if not real:
+        return ComplexBasis(grid)
+    if all(_exactly_even(c) for c in coeffs):
+        return CosineBasis(grid)
+    return HalfBasis(grid)
+
+
 def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
     c[..., m // 3 + 1:m - m // 3] = 0.0  # exactly the modes |k| > M/3
     return c
@@ -262,10 +432,12 @@ def dealiased_coeffs(samples: np.ndarray, grid: TorusGrid,
 
 def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray, grid: TorusGrid,
                              real_inputs: bool = True) -> np.ndarray:
-    """Raw-array core of the dealiased product (no field validation)."""
-    a = dealiased_samples(cu, grid, real_inputs)
-    b = a if cv is cu else dealiased_samples(cv, grid, real_inputs)
-    return dealiased_coeffs(a * b, grid)
+    """Raw-array core of the dealiased product (no field validation), in
+    the basis field_basis picks for the inputs."""
+    basis = field_basis(grid, real_inputs, *((cu,) if cv is cu else (cu, cv)))
+    a = basis.samples(basis.band(cu))
+    b = a if cv is cu else basis.samples(basis.band(cv))
+    return basis.widen(basis.coeffs(a * b))
 
 
 def pair_with_test_function(field: SpectralField,

@@ -25,9 +25,8 @@ from ._threads import run_two
 from .config import SolveConfig
 from .errors import ConfigError, DomainError, ResolutionError
 from .evolution import trapezoid_step
-from .grid import (SpectralField, TorusGrid, band_half, check_alpha,
-                   dealiased_coeffs, dealiased_samples, fractional_symbol,
-                   hermitian_full)
+from .grid import (SpectralField, TorusGrid, check_alpha, field_basis,
+                   fractional_symbol)
 from .trajectory import Trajectory
 
 
@@ -135,8 +134,11 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     """First n_terms Taylor trajectories A_1..A_k of the flow from `seed`.
 
     Exponential-trapezoid time stepping on the shared Duhamel structure;
-    quadratic sources are 2/3-rule dealiased. For a real seed the terms
-    k >= 2 march on modes 0..M/3 only and are returned on the full,
+    quadratic sources are 2/3-rule dealiased. The basis is picked once from
+    the seed's symmetry (grid.field_basis), and u^2 keeps it: the terms
+    k >= 2 of a real seed march on modes 0..M/3 only, as real cosine
+    coefficients over M/2 samples when the seed is exactly even and as an
+    rfft half over M samples otherwise. They are returned on the full,
     exactly Hermitian spectrum. store_stride keeps every stride-th node
     (stride must divide the step count), so large-M runs can retain
     endpoints only.
@@ -146,10 +148,10 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     marches A_1..A_{K/2} (K = n_terms, rounded down, at least A_1) and a
     worker marches the rest one step behind, reading the leader's samples
     from two slots indexed by step parity. Each stage writes its samples,
-    source and transform into its own buffers, allocated once per call,
-    and each term's arithmetic is that of a one-thread march, so the
-    values do not depend on the schedule. An error in either stage is
-    raised here after both have stopped.
+    source, transform and trapezoid step into its own buffers, allocated
+    once per call, and each term's arithmetic is that of a one-thread
+    march, so the values do not depend on the schedule. An error in either
+    stage is raised here after both have stopped.
     """
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
@@ -163,26 +165,29 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
     # sigma folds into the step exactly: it is -1, 0 or 1
     half = 0.5 * config.dt * float(config.sign)
-    real = seed.is_real
-    # terms k >= 2 are dealiased sources; for a real seed they live on
-    # modes 0..M/3 of the rfft half and are widened only when stored
-    width = m // 3 + 1 if real else m
-    band_decay = decay[:width]
-    sample_dtype = float if real else complex
+    basis = field_basis(grid, seed.is_real, seed.coeffs)
+    # terms k >= 2 are dealiased sources, carried in the basis and widened
+    # only when stored
+    band_decay = decay[:basis.width]
 
     n_stored = n // store_stride + 1
     stored = [np.zeros((n_stored, m), dtype=complex) for _ in range(n_terms)]
     stored[0][0] = seed.coeffs
 
+    def coeff_buffer():
+        return np.zeros(basis.width, dtype=basis.coeff_dtype)
+
+    def sample_buffer():
+        return np.zeros(basis.n_samples, dtype=basis.sample_dtype)
+
     def stage(terms):
         """Step function of the terms k >= 2 in `terms`, on their own
         buffers; phys[j] holds A_j's samples at the step being made."""
-        acc = np.empty(m, dtype=sample_dtype)
-        tmp = np.empty_like(acc)
-        spectrum = np.empty(m // 2 + 1, dtype=complex) if real else None
-        coeff = {k: np.zeros(width, dtype=complex) for k in terms}
-        fprev = {k: np.empty(width, dtype=complex) for k in terms}
-        spare = np.empty(width, dtype=complex)
+        acc, tmp = sample_buffer(), sample_buffer()
+        work = basis.workspace()
+        coeff = {k: coeff_buffer() for k in terms}
+        fprev = {k: coeff_buffer() for k in terms}
+        spare, bracket = coeff_buffer(), coeff_buffer()
 
         def source(k, phys, out):
             # the splits (j, k - j) pair up: twice those with j < k - j,
@@ -197,9 +202,7 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                 np.multiply(acc, 2.0, out=acc)
                 if k % 2 == 0:
                     np.add(acc, np.square(phys[k // 2], out=tmp), out=acc)
-            if real:
-                return band_half(acc, grid, m // 3, out=out, work=spectrum)
-            return dealiased_coeffs(acc, grid, out=out)
+            return basis.coeffs(acc, out=out, work=work)
 
         def step(i, phys):
             nonlocal spare
@@ -209,31 +212,30 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                 return
             for k in terms:
                 fnext = source(k, phys, spare)
-                coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext,
-                                          band_decay, half)
+                trapezoid_step(coeff[k], fprev[k], fnext, band_decay, half,
+                               out=coeff[k], tmp=bracket)
                 # the old source is dead: its buffer takes the next one
                 fprev[k], spare = fnext, fprev[k]
                 if k < n_terms:
-                    dealiased_samples(coeff[k], grid, real, out=phys[k])
+                    basis.samples(coeff[k], out=phys[k], work=work)
             if i % store_stride == 0:
                 row = i // store_stride
                 for k in terms:
-                    if real:
-                        hermitian_full(coeff[k], grid, out=stored[k - 1][row])
-                    else:
-                        stored[k - 1][row] = coeff[k]
+                    basis.widen(coeff[k], out=stored[k - 1][row])
 
         return step
 
     split = max(1, n_terms // 2)
     # phys[k] is zero at step 0 for k >= 2; A_n_terms is read by no source
-    slots = [[None] + [np.zeros(m, dtype=sample_dtype) for _ in range(split)]
+    slots = [[None] + [sample_buffer() for _ in range(split)]
              for _ in range(2)]
-    own = [np.zeros(m, dtype=sample_dtype) for _ in range(split + 1, n_terms)]
+    own = [sample_buffer() for _ in range(split + 1, n_terms)]
     trail_phys = [slot + own for slot in slots]
     lead_step = stage(range(2, split + 1))
     trail_step = stage(range(split + 1, n_terms + 1))
     a1 = seed.coeffs.copy()
+    a1_band = basis.band(a1)
+    a1_work = basis.workspace()
     handoff = _Handoff()
 
     def lead():
@@ -245,7 +247,7 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                 np.multiply(decay, a1, out=a1)
                 if i % store_stride == 0:
                     stored[0][i // store_stride] = a1
-            dealiased_samples(a1, grid, real, out=phys[1])
+            basis.samples(a1_band, out=phys[1], work=a1_work)
             lead_step(i, phys)
             handoff.post()
 
@@ -258,7 +260,8 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
 
     run_two(lead, trail, handoff.abort, "march")
     out_dt = config.dt * store_stride
-    return [Trajectory(grid, out_dt, arr, is_real=real) for arr in stored]
+    return [Trajectory(grid, out_dt, arr, is_real=seed.is_real)
+            for arr in stored]
 
 
 def tail_bound(k: int, n_freq: int, r: float, t: float, c0: float) -> float:

@@ -11,6 +11,7 @@ from fracheat.evolution import (
     fixed_point_solve,
     integral_residual,
     smoothing_constant,
+    trapezoid_step,
     weighted_sup_norm,
 )
 from fracheat.grid import SpectralField, TorusGrid, dealiased_product_coeffs
@@ -81,6 +82,32 @@ def test_duhamel_halving_slope():
     slope = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
     print(f"duhamel halving slope: {slope:.4f}")
     assert abs(slope - 2.0) < 0.1
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trapezoid_step_out_buffers_equal_allocating_form(dtype):
+    # the march steps in place (out is acc) with a reused bracket buffer;
+    # that must give exactly the one-expression, allocating result
+    rng = np.random.default_rng(SEED)
+    width = 21846  # modes 0..M/3 at M = 2^16
+
+    def draw():
+        x = rng.standard_normal(width)
+        return x if dtype is float else x + 1j * rng.standard_normal(width)
+
+    acc, f_prev, f_next = draw(), draw(), draw()
+    decay = np.exp(-rng.uniform(0.0, 4.0, width))
+    for half in (0.37, -0.37):
+        want = decay * acc + half * (decay * f_prev + f_next)
+        np.testing.assert_array_equal(
+            trapezoid_step(acc, f_prev, f_next, decay, half), want)
+        out = acc.copy()
+        tmp = np.full_like(acc, 9.0)
+        got = trapezoid_step(out, f_prev, f_next, decay, half, out=out,
+                             tmp=tmp)
+        assert got is out
+        assert got.dtype == acc.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_fixed_point_trivial_cases():

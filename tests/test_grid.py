@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import simpson
 
 from fracheat.errors import DimensionError, DomainError, SymmetryError
 from fracheat.grid import (
+    CosineBasis,
+    ComplexBasis,
+    HalfBasis,
     SpectralField,
     TorusGrid,
     _hermitian_defect,
     apply_semigroup,
     band_half,
     band_samples,
+    cosine_band,
+    cosine_samples,
     dealiased_coeffs,
     dealiased_product,
     dealiased_samples,
     dealiased_square,
+    field_basis,
     fractional_symbol,
     from_spectral,
     hermitian_full,
@@ -205,6 +212,118 @@ def test_band_primitives_against_masked_complex_fft(m):
                 assert _hermitian_defect(row) == 0.0
                 assert np.allclose(from_spectral(SpectralField(g, row)), zrow,
                                    atol=1e-13)
+
+
+def _unpermute(v):
+    # Makhoul's order back to the natural one: entry j is sample 2j and
+    # entry n-1-j is sample 2j+1
+    n = v.shape[-1]
+    f = np.empty_like(v)
+    f[..., 0::2] = v[..., :n // 2]
+    f[..., 1::2] = v[..., :n // 2 - 1:-1]
+    return f
+
+
+def _even_spectrum(c, g):
+    # the full fft-order spectrum of the real cosine modes c (last axis)
+    full = np.zeros(c.shape[:-1] + (g.mode_count,))
+    full[..., :c.shape[-1]] = c
+    full[..., g.mode_count - c.shape[-1] + 1:] = c[..., :0:-1]
+    return full
+
+
+@pytest.mark.parametrize("m", [4, 8, 1024])
+def test_cosine_primitives_against_dct_and_masked_complex_fft(m):
+    g = TorusGrid(4.0, m)
+    n = m // 2
+    rng = np.random.default_rng(SEED)
+    # the shifted grid x_j = (j + 1/2) lam/M: mode k picks up e^{i pi k/M}
+    shift = np.exp(1j * np.pi * g.wavenumbers / m)
+    for k_max in sorted({m // 8, m // 3, n - 1}):
+        for shape in ((k_max + 1,), (2, k_max + 1)):
+            c = rng.standard_normal(shape)
+            padded = np.zeros(shape[:-1] + (n,))
+            padded[..., :k_max + 1] = c
+            v = cosine_samples(c, g)
+            assert v.shape == shape[:-1] + (n,)
+            f = _unpermute(v)
+            scale = max(1.0, np.max(np.abs(f)))
+            assert np.allclose(f, scipy.fft.dct(padded, type=3),
+                               atol=1e-14 * scale)
+            shifted = np.fft.ifft(_even_spectrum(c, g) * shift) * m
+            assert np.allclose(f, shifted[..., :n].real, atol=1e-14 * scale)
+            assert np.max(np.abs(shifted[..., :n].imag)) < 1e-13 * scale
+
+            s = rng.standard_normal(shape[:-1] + (n,))
+            h = cosine_band(s, g, k_max)
+            assert h.shape == shape
+            want = scipy.fft.dct(_unpermute(s), type=2)[..., :k_max + 1] / m
+            assert np.allclose(h, want, atol=1e-15)
+            # the samples and their mirror fill the whole shifted grid
+            whole = np.concatenate([_unpermute(s), _unpermute(s)[..., ::-1]],
+                                   axis=-1)
+            masked = (np.fft.fft(whole) / m / shift)[..., :k_max + 1]
+            assert np.allclose(h, masked.real, atol=1e-15)
+            assert np.max(np.abs(masked.imag)) < 1e-15
+            # the pair is an exact round trip on modes below M/2
+            assert np.allclose(cosine_band(v, g, k_max), c, atol=1e-14)
+
+
+def test_cosine_out_buffers_leave_values_unchanged():
+    g = TorusGrid(8.0, 64)
+    m = g.mode_count
+    rng = np.random.default_rng(SEED)
+    for k_max in (m // 8, m // 3, m // 2 - 1):
+        c = rng.standard_normal((2, k_max + 1))
+        want = cosine_samples(c, g)
+        out = np.full((2, m // 2), 9.0)
+        work = np.full((2, m // 4 + 1), 9.0 + 9.0j)
+        assert cosine_samples(c, g, out=out, work=work) is out
+        np.testing.assert_array_equal(out, want)
+        want = cosine_band(want, g, k_max)
+        out = np.full((2, k_max + 1), 9.0)
+        assert cosine_band(cosine_samples(c, g), g, k_max, out=out,
+                           work=work) is out
+        np.testing.assert_array_equal(out, want)
+
+
+def test_field_basis_follows_exact_symmetry():
+    g = TorusGrid(8.0, 64)
+    rng = np.random.default_rng(SEED)
+    even = _even_spectrum(rng.standard_normal(33), g).astype(complex)
+    u = to_spectral(rng.standard_normal(64), g)
+    assert isinstance(field_basis(g, True, even), CosineBasis)
+    assert isinstance(field_basis(g, True, even, even[None, :]), CosineBasis)
+    assert isinstance(field_basis(g, True, even, u.coeffs), HalfBasis)
+    assert isinstance(field_basis(g, False, even), ComplexBasis)
+    off = even.copy()
+    off[5] = np.nextafter(off[5].real, np.inf)
+    assert isinstance(field_basis(g, True, off), HalfBasis)
+    odd = even.copy()
+    odd[5] += 1e-300j
+    odd[-5] -= 1e-300j
+    assert isinstance(field_basis(g, True, odd), HalfBasis)
+
+
+def test_even_products_against_brute_convolution():
+    g = TorusGrid(4.0, 64)
+    rng = np.random.default_rng(SEED)
+    for _ in range(3):
+        # full band, so the input mask matters
+        u = SpectralField(g, _even_spectrum(0.1 * rng.standard_normal(33), g))
+        v = random_band_field(g, g.max_frequency, rng)
+        for got, want in ((dealiased_square(u).coeffs,
+                           brute_dealiased_product(u.coeffs, u.coeffs, g)),
+                          (dealiased_product(u, v).coeffs,
+                           brute_dealiased_product(u.coeffs, v.coeffs, g)),
+                          (dealiased_product(v, u).coeffs,
+                           brute_dealiased_product(v.coeffs, u.coeffs, g))):
+            assert np.allclose(got, want,
+                               atol=1e-13 * max(1.0, np.max(np.abs(want))))
+            assert np.all(got[~g.dealias_mask] == 0)
+        sq = dealiased_square(u).coeffs
+        assert not np.any(sq.imag)
+        np.testing.assert_array_equal(sq[1:], sq[:0:-1])
 
 
 def _roll_hermitian_defect(coeffs):

@@ -6,15 +6,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracheat import picard
+from fracheat import grid, picard
 
 from fracheat.config import SolveConfig
 from fracheat.dyadic import algebra_constant, modulation_norm, phi_profile, sobolev_norm
 from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate, trapezoid_step
-from fracheat.grid import (SpectralField, TorusGrid, _hermitian_defect,
-                           band_half, dealiased_coeffs, dealiased_samples,
-                           dealiased_square, fractional_symbol,
+from fracheat.grid import (SpectralField, TorusGrid, _exactly_even,
+                           _hermitian_defect, dealiased_product,
+                           dealiased_square, field_basis, fractional_symbol,
                            hermitian_full, to_spectral)
 from fracheat.picard import (
     duhamel_kernel,
@@ -262,44 +262,48 @@ def _picard_terms_oracle(seed, n_terms, config, store_stride=1):
     return [np.array(rows) for rows in stored]
 
 
+def _full_band_seed(is_real):
+    """A full-band seed on the 256-mode test grid: real (True), complex
+    (False), or real with an exactly even spectrum ("even")."""
+    g = TorusGrid(16.0, 256)
+    rng = np.random.default_rng(SEED)
+    if is_real == "even":
+        return SpectralField(g, hermitian_full(
+            0.3 / 16 * rng.standard_normal(129), g))
+    if is_real:
+        return to_spectral(0.3 * rng.standard_normal(256), g)
+    z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    return SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+
+
 @pytest.mark.parametrize("store_stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [2, 5])
-@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms,
                                                  store_stride):
     # a full-band seed, so A_1 carries modes beyond the dealiased band that
     # the real march keeps only in A_1 itself
-    g = TorusGrid(16.0, 256)
-    rng = np.random.default_rng(SEED)
-    if is_real:
-        seed = to_spectral(0.3 * rng.standard_normal(256), g)
-    else:
-        z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        seed = SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+    seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
     terms = picard_terms(seed, n_terms, cfg, store_stride=store_stride)
     want = _picard_terms_oracle(seed, n_terms, cfg, store_stride)
     for term, ref in zip(terms, want):
-        assert term.is_real == is_real
+        assert term.is_real == bool(is_real)
         assert term.coeffs.shape == ref.shape
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(term.coeffs - ref)) <= 1e-13 * scale
         if is_real:
             assert all(_hermitian_defect(row) == 0.0 for row in term.coeffs)
+        if is_real == "even":
+            assert _exactly_even(term.coeffs)
 
 
-@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("is_real", [True, False, "even"])
 def test_picard_terms_buffers_do_not_leak(is_real):
     # the march reuses its sample, source and transform buffers; results
     # must not depend on a previous call or alias one another
-    g = TorusGrid(16.0, 256)
-    rng = np.random.default_rng(SEED)
-    if is_real:
-        seed = to_spectral(0.3 * rng.standard_normal(256), g)
-    else:
-        z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        seed = SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+    seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     first = picard_terms(seed, 5, cfg)
     second = picard_terms(seed, 5, cfg)
@@ -313,23 +317,23 @@ def test_picard_terms_buffers_do_not_leak(is_real):
 
 def _picard_terms_serial_oracle(seed, n_terms, config, store_stride=1):
     """Node-by-node coefficients of A_1..A_n_terms from the one-thread
-    march: the same buffers, sources and steps as picard_terms, with every
-    term advanced in order on this thread."""
+    march: the basis, sources and steps of picard_terms, with every term
+    advanced in order on this thread and the stepper in its allocating
+    form."""
     grid = seed.grid
     n = config.n_steps
     m = grid.mode_count
     decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
     half = 0.5 * config.dt * float(config.sign)
-    real = seed.is_real
-    width = m // 3 + 1 if real else m
-    band_decay = decay[:width]
+    basis = field_basis(grid, seed.is_real, seed.coeffs)
+    band_decay = decay[:basis.width]
 
-    coeff = [None, seed.coeffs.copy()] + [np.zeros(width, dtype=complex)
-                                          for _ in range(n_terms - 1)]
-    phys = [None, dealiased_samples(coeff[1], grid, real)]
+    coeff = [None, seed.coeffs.copy()] + [
+        np.zeros(basis.width, dtype=basis.coeff_dtype)
+        for _ in range(n_terms - 1)]
+    phys = [None, basis.samples(basis.band(coeff[1]))]
     phys += [np.zeros_like(phys[1]) for _ in range(2, n_terms)]
     acc, tmp = np.empty_like(phys[1]), np.empty_like(phys[1])
-    spectrum = np.empty(m // 2 + 1, dtype=complex) if real else None
 
     def source(k, out):
         if k == 2:
@@ -342,50 +346,37 @@ def _picard_terms_serial_oracle(seed, n_terms, config, store_stride=1):
             np.multiply(acc, 2.0, out=acc)
             if k % 2 == 0:
                 np.add(acc, np.square(phys[k // 2], out=tmp), out=acc)
-        if real:
-            return band_half(acc, grid, m // 3, out=out, work=spectrum)
-        return dealiased_coeffs(acc, grid, out=out)
+        return basis.coeffs(acc, out=out)
 
-    fprev = [None, None] + [source(k, np.empty(width, dtype=complex))
-                            for k in range(2, n_terms + 1)]
-    fnext = np.empty(width, dtype=complex)
+    fprev = [None, None] + [
+        source(k, np.empty(basis.width, dtype=basis.coeff_dtype))
+        for k in range(2, n_terms + 1)]
+    fnext = np.empty(basis.width, dtype=basis.coeff_dtype)
 
     stored = [np.zeros((n // store_stride + 1, m), dtype=complex)
               for _ in range(n_terms)]
     stored[0][0] = coeff[1]
     for i in range(1, n + 1):
         np.multiply(decay, coeff[1], out=coeff[1])
-        dealiased_samples(coeff[1], grid, real, out=phys[1])
+        basis.samples(basis.band(coeff[1]), out=phys[1])
         for k in range(2, n_terms + 1):
             source(k, fnext)
             coeff[k] = trapezoid_step(coeff[k], fprev[k], fnext, band_decay,
                                       half)
             fprev[k], fnext = fnext, fprev[k]
             if k < n_terms:
-                dealiased_samples(coeff[k], grid, real, out=phys[k])
+                basis.samples(coeff[k], out=phys[k])
         if i % store_stride == 0:
             row = i // store_stride
             stored[0][row] = coeff[1]
             for k in range(2, n_terms + 1):
-                if real:
-                    hermitian_full(coeff[k], grid, out=stored[k - 1][row])
-                else:
-                    stored[k - 1][row] = coeff[k]
+                basis.widen(coeff[k], out=stored[k - 1][row])
     return stored
-
-
-def _full_band_seed(is_real):
-    g = TorusGrid(16.0, 256)
-    rng = np.random.default_rng(SEED)
-    if is_real:
-        return to_spectral(0.3 * rng.standard_normal(256), g)
-    z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    return SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
 
 
 @pytest.mark.parametrize("store_stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 12])
-@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms,
                                           store_stride):
@@ -417,10 +408,10 @@ def test_picard_terms_equal_serial_oracle_under_fast_switching():
             np.testing.assert_array_equal(term.coeffs, ref)
 
 
-def _fail_on(name, thread, at):
-    """Wrap picard.<name> so its at-th call on the stage named `thread`
+def _fail_on(module, name, thread, at):
+    """Wrap module.<name> so its at-th call on the stage named `thread`
     ("lead" is the calling thread, "trail" the worker) raises."""
-    real_fn = getattr(picard, name)
+    real_fn = getattr(module, name)
     calls = [0]
 
     def wrapped(*args, **kwargs):
@@ -444,13 +435,40 @@ def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
     # other stage is then still waiting on the first handoff; the later
     # calls fail mid-march. Either way the error is raised here and the
     # worker is gone (the autouse fixture checks the thread list too).
-    monkeypatch.setattr(picard, name, _fail_on(name, thread, at))
+    # The march reaches band_half through its basis, in grid.
     seed = _full_band_seed(True)
+    module = grid if name == "band_half" else picard
+    monkeypatch.setattr(module, name, _fail_on(module, name, thread, at))
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     exc = raised_within(lambda: picard_terms(seed, 6, cfg))
     assert isinstance(exc, RuntimeError)
     assert str(exc) == f"injected {name} failure"
     assert not any(t.name == "fracheat-march" for t in threading.enumerate())
+
+
+def test_seed_one_ulp_off_even_never_reaches_cosine_primitives(monkeypatch):
+    # the cosine basis is chosen from exact symmetry alone: one mode one
+    # ulp off its mirror keeps a field on the rfft half
+    even = _full_band_seed("even")
+    c = even.coeffs.copy()
+    c[5] = np.nextafter(c[5].real, np.inf)
+    off = SpectralField(even.grid, c)
+    calls = []
+    for name in ("cosine_samples", "cosine_band"):
+        def counted(*args, _fn=getattr(grid, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(grid, name, counted)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    picard_terms(off, 4, cfg)
+    dealiased_square(off)
+    dealiased_product(off, even)
+    assert calls == []
+    # the counter does see an exactly even seed
+    picard_terms(even, 4, cfg)
+    dealiased_square(even)
+    assert {"cosine_samples", "cosine_band"} <= set(calls)
 
 
 def test_second_iterate_peak_memory_does_not_grow_with_targets():
