@@ -300,9 +300,15 @@ def cosine_band(samples: np.ndarray, grid: TorusGrid, k_max: int,
     return out
 
 
+def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
+    c[..., m // 3 + 1:m - m // 3] = 0.0  # exactly the modes |k| > M/3
+    return c
+
+
 class ComplexBasis:
     """A complex field's dealiased band: the full fft-order spectrum and M
-    complex samples. The coefficients of a march need no widening."""
+    complex samples, through full complex transforms. The coefficients of
+    a march need no widening."""
 
     coeff_dtype = sample_dtype = np.complex128
 
@@ -314,10 +320,16 @@ class ComplexBasis:
         return full
 
     def samples(self, c, out=None, work=None):
-        return dealiased_samples(c, self.grid, False, out=out)
+        if out is None:
+            out = np.array(c, dtype=np.complex128)
+        else:
+            out[...] = c
+        _zero_aliased(out, self.grid.mode_count)
+        return np.fft.ifft(out, norm="forward", out=out)
 
     def coeffs(self, samples, out=None, work=None):
-        return dealiased_coeffs(samples, self.grid, out=out)
+        out = np.fft.fft(samples, norm="forward", out=out)
+        return _zero_aliased(out, self.grid.mode_count)
 
     def widen(self, c, out=None):
         if out is None:
@@ -397,37 +409,6 @@ def field_basis(grid: TorusGrid, real: bool, *coeffs: np.ndarray):
     if all(_exactly_even(c) for c in coeffs):
         return CosineBasis(grid)
     return HalfBasis(grid)
-
-
-def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
-    c[..., m // 3 + 1:m - m // 3] = 0.0  # exactly the modes |k| > M/3
-    return c
-
-
-def dealiased_samples(coeffs: np.ndarray, grid: TorusGrid, real: bool,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Samples of the 2/3-rule truncated coeffs (last axis).
-
-    When real, only modes 0..M/3 are read (so coeffs may be that half alone)
-    and the samples are real.
-    """
-    m = grid.mode_count
-    if real:
-        return band_samples(coeffs[..., :m // 3 + 1], grid, out=out)
-    if out is None:
-        out = np.array(coeffs, dtype=np.complex128)
-    else:
-        out[...] = coeffs
-    return np.fft.ifft(_zero_aliased(out, m), norm="forward", out=out)
-
-
-def dealiased_coeffs(samples: np.ndarray, grid: TorusGrid,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of samples (last axis) with modes |k| > M/3 zeroed."""
-    m = grid.mode_count
-    if np.iscomplexobj(samples):
-        return _zero_aliased(np.fft.fft(samples, norm="forward", out=out), m)
-    return hermitian_full(band_half(samples, grid, m // 3), grid, out=out)
 
 
 def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray, grid: TorusGrid,

@@ -16,9 +16,8 @@ from fracheat.grid import (
     band_samples,
     cosine_band,
     cosine_samples,
-    dealiased_coeffs,
     dealiased_product,
-    dealiased_samples,
+    dealiased_product_coeffs,
     dealiased_square,
     field_basis,
     fractional_symbol,
@@ -177,10 +176,13 @@ def test_dealiased_square_against_brute_convolution():
     got = dealiased_product(u, v).coeffs
     want = brute_dealiased_product(u.coeffs, v.coeffs, g)
     assert np.allclose(got, want, atol=1e-13 * max(1.0, np.max(np.abs(want))))
-    # the two halves on a 2-row stack, as the solver squares a trajectory
-    stack = np.array([u.coeffs, v.coeffs])
-    for real in (True, False):
-        got = dealiased_coeffs(dealiased_samples(stack, g, real) ** 2, g)
+    # a 2-row stack in each basis, as the solver squares a trajectory
+    even = _even_spectrum(0.1 * rng.standard_normal(33), g).astype(complex)
+    for stack, real in (([u.coeffs, v.coeffs], True),
+                        ([u.coeffs, v.coeffs], False),
+                        ([even, 2.0 * even], True)):
+        stack = np.array(stack)
+        got = dealiased_product_coeffs(stack, stack, g, real_inputs=real)
         assert got.shape == stack.shape
         for row, c in zip(got, stack):
             want = brute_dealiased_product(c, c, g)
@@ -365,7 +367,8 @@ def test_out_buffers_leave_values_unchanged():
     z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
 
     def junk(shape, dtype=complex):
-        return np.full(shape, 9.0 + 9.0j if dtype is complex else 9.0)
+        return np.full(shape, 9.0 + 9.0j if np.dtype(dtype).kind == "c"
+                       else 9.0)
 
     for k_max in (m // 8, m // 3, m // 2):
         want = band_half(s, g, k_max)
@@ -378,15 +381,19 @@ def test_out_buffers_leave_values_unchanged():
         out = junk((2, m))
         assert hermitian_full(want, g, out=out) is out
         np.testing.assert_array_equal(out, hermitian_full(want, g))
-    for data in (s, z):
+    # each basis's transform pair and widening, on a 2-row stack
+    for basis, data in ((ComplexBasis(g), z), (HalfBasis(g), s),
+                        (CosineBasis(g), s[:, :m // 2])):
+        want = basis.coeffs(data)
+        out = junk((2, basis.width), basis.coeff_dtype)
+        assert basis.coeffs(data, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        out = junk((2, basis.n_samples), basis.sample_dtype)
+        assert basis.samples(want, out=out) is out
+        np.testing.assert_array_equal(out, basis.samples(want))
         out = junk((2, m))
-        assert dealiased_coeffs(data, g, out=out) is out
-        np.testing.assert_array_equal(out, dealiased_coeffs(data, g))
-    coeffs = dealiased_coeffs(z, g)
-    for real in (True, False):
-        out = junk((2, m), float if real else complex)
-        assert dealiased_samples(coeffs, g, real, out=out) is out
-        np.testing.assert_array_equal(out, dealiased_samples(coeffs, g, real))
+        assert basis.widen(want, out=out) is out
+        np.testing.assert_array_equal(out, basis.widen(want))
 
 
 def test_dealiased_square_exact_on_harmonics():
