@@ -6,6 +6,13 @@ Block j >= 0 multiplies by phi(xi/2^j), whose support is 2^j <= |xi| <= 2^{j+2}
 with phi(2) = 1; block -1 multiplies by eta. The blocks telescope, so
 eta(xi) + sum_{j=0}^{J} phi(xi/2^j) = eta(xi/2^{J+1}) = 1 for |xi| <= 2^{J+1},
 which covers the whole grid band once J = floor(log2(max|xi_k|)).
+
+A partition stores each block only where it can be nonzero: on the
+fft-order windows TorusGrid.support_windows gives for its support, with
+the values of the elementwise bump there. Off the windows the bump is
+exactly 0, so the block table behind the Besov norms and x_norm sums over
+the windows alone, and multiplier(j) rebuilds the full-length block, bit
+for bit the dense one, on each call without keeping it.
 """
 
 from __future__ import annotations
@@ -43,23 +50,35 @@ def phi_profile(xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Dyadic multiplier table for one grid; blocks j = -1 .. j_max."""
+    """Dyadic multiplier table for one grid; blocks j = -1 .. j_max, each
+    kept as (window, values) pairs on the modes its support reaches."""
 
     grid: TorusGrid
     j_max: int
-    _cache: Dict[int, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
+    _blocks: Dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
 
-    def multiplier(self, j: int) -> np.ndarray:
+    def windows(self, j: int) -> tuple:
+        """Block j as ((slice, values), ...) over its support windows."""
         if j < -1:
             raise DomainError(f"block index must be >= -1, got {j}")
         if j > self.j_max:
             raise ResolutionError(
                 f"block {j} exceeds j_max = {self.j_max} for this grid band")
-        m = self._cache.get(j)
-        if m is None:
+        block = self._blocks.get(j)
+        if block is None:
+            lo, hi = (0.0, 2.0) if j == -1 else (2.0**j, 2.0 ** (j + 2))
             xi = self.grid.frequencies
-            m = eta(xi) if j == -1 else phi_profile(xi / 2.0**j)
-            self._cache[j] = m
+            block = tuple(
+                (sl, eta(xi[sl]) if j == -1 else phi_profile(xi[sl] / 2.0**j))
+                for sl in self.grid.support_windows(lo, hi))
+            self._blocks[j] = block
+        return block
+
+    def multiplier(self, j: int) -> np.ndarray:
+        """Block j on the whole grid, fft order; a fresh array per call."""
+        m = np.zeros(self.grid.mode_count)
+        for sl, vals in self.windows(j):
+            m[sl] = vals
         return m
 
     @property
@@ -117,14 +136,15 @@ def _lq(values: np.ndarray, q: float) -> float:
 
 
 def _block_l2_table(coeffs2d: np.ndarray, partition: DyadicPartition) -> np.ndarray:
-    """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}."""
+    """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}, each block
+    summed over its windows only."""
     lam = partition.grid.period
     mags = np.abs(coeffs2d) ** 2
-    rows = []
-    for j in partition.block_range:
-        m2 = partition.multiplier(j) ** 2
-        rows.append(np.sqrt(lam * (mags @ m2)))
-    return np.asarray(rows)
+    table = np.zeros((len(partition.block_range), mags.shape[0]))
+    for row, j in zip(table, partition.block_range):
+        for sl, vals in partition.windows(j):
+            row += mags[:, sl] @ (vals * vals)
+    return np.sqrt(lam * table)
 
 
 def besov_norm(u: SpectralField, s: float, q: float,
@@ -146,6 +166,18 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
     return float(np.sqrt(u.grid.period * np.sum(w * np.abs(u.coeffs) ** 2)))
 
 
+def _spacetime_report(table: np.ndarray, dt: float, p: float, s: float,
+                      q: float, partition: DyadicPartition) -> NormReport:
+    if p == np.inf:
+        per_block = table.max(axis=1)
+    else:
+        per_block = np.trapezoid(table**p, dx=dt, axis=1) ** (1.0 / p)
+    js = np.arange(-1, partition.j_max + 1)
+    weighted = 2.0 ** (js * s) * per_block
+    kind = "Linf-t-besov" if p == np.inf else f"L{int(p)}-t-besov"
+    return NormReport(kind, s, q, None, _lq(weighted, q), tuple(weighted))
+
+
 def spacetime_besov_norm(traj: Trajectory, p: float, s: float, q: float,
                          partition: DyadicPartition) -> NormReport:
     """Tilde norm: per block, L^p in time of ||Delta_j u(t)||_{L^2}, then
@@ -160,22 +192,20 @@ def spacetime_besov_norm(traj: Trajectory, p: float, s: float, q: float,
     if traj.grid != partition.grid:
         raise DimensionError("trajectory and partition live on different grids")
     table = _block_l2_table(traj.coeffs, partition)
-    if p == np.inf:
-        per_block = table.max(axis=1)
-    else:
-        per_block = np.trapezoid(table**p, dx=traj.dt, axis=1) ** (1.0 / p)
-    js = np.arange(-1, partition.j_max + 1)
-    weighted = 2.0 ** (js * s) * per_block
-    kind = "Linf-t-besov" if p == np.inf else f"L{int(p)}-t-besov"
-    return NormReport(kind, s, q, None, _lq(weighted, q), tuple(weighted))
+    return _spacetime_report(table, traj.dt, p, s, q, partition)
 
 
 def x_norm(traj: Trajectory, s: float, q: float, alpha: float,
            partition: DyadicPartition) -> float:
-    """Work norm: Linf_t B^{s,q} + L2_t B^{s+alpha,q} over the trajectory."""
+    """Work norm: Linf_t B^{s,q} + L2_t B^{s+alpha,q} over the trajectory;
+    both parts read one block table."""
     check_alpha(alpha)
-    a = spacetime_besov_norm(traj, np.inf, s, q, partition)
-    b = spacetime_besov_norm(traj, 2, s + alpha, q, partition)
+    q = _check_q(q)
+    if traj.grid != partition.grid:
+        raise DimensionError("trajectory and partition live on different grids")
+    table = _block_l2_table(traj.coeffs, partition)
+    a = _spacetime_report(table, traj.dt, np.inf, s, q, partition)
+    b = _spacetime_report(table, traj.dt, 2, s + alpha, q, partition)
     return a.value + b.value
 
 

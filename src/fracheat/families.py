@@ -104,31 +104,57 @@ def _require_band(grid: TorusGrid, top: float, what: str,
             f"{grid.spacing:g}")
 
 
+def _seed(grid: TorusGrid, parts) -> SpectralField:
+    """Real seed with c_k = profile(xi_k) / lambda, where parts lists
+    (lo, hi, profile) triples with disjoint supports lo <= |xi| <= hi.
+
+    Each profile is evaluated on its support windows only and every other
+    mode is zero, so the coefficients equal those of the dense profile
+    bit for bit. The windows are added in, as 0 + v == v: a margin mode
+    one part's window shares with another's gains only that part's 0."""
+    coeffs = np.zeros(grid.mode_count, dtype=complex)
+    xi = grid.frequencies
+    for lo, hi, profile in parts:
+        for sl in grid.support_windows(lo, hi):
+            coeffs[sl] += profile(xi[sl]) / grid.period
+    return SpectralField(grid, coeffs)
+
+
 def build_phi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
-    """Seed with transform N^a on +-[N, N+2]: c_k = phihat(xi_k) / lambda."""
+    """Seed with transform N^a on +-[N, N+2]: c_k = phihat(xi_k) / lambda,
+    evaluated on the support windows of +-[N, N+2] only."""
     FamilySpec("phiN", n, alpha)
     _require_band(grid, n + 2.0, "phi_N")
-    vals = phi_hat_profile(n, alpha)(grid.frequencies)
-    return SpectralField(grid, (vals / grid.period).astype(complex))
+    return _seed(grid, [(n, n + 2.0, phi_hat_profile(n, alpha))])
 
 
 def build_psi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
-    """Normalized octave sum N^{-1/2} sum_{j=N}^{2N} phi_{2^j}."""
+    """Normalized octave sum N^{-1/2} sum_{j=N}^{2N} phi_{2^j}.
+
+    Each part phi_{2^j} is evaluated on its own windows around
+    +-[2^j, 2^j+2]; the parts are disjoint for N >= 3, so every mode takes
+    the one nonzero term of the dense sum, scaled as there."""
     FamilySpec("psiN", n, alpha)
     _require_band(grid, 2.0 ** (2 * n) + 2.0, "psi_N")
-    vals = psi_hat_profile(n, alpha)(grid.frequencies)
-    return SpectralField(grid, (vals / grid.period).astype(complex))
+    scale = 1.0 / np.sqrt(float(n))
+    parts = []
+    for j in range(n, 2 * n + 1):
+        profile = phi_hat_profile(2**j, alpha)
+        parts.append((2.0**j, 2.0**j + 2.0,
+                      lambda xi, p=profile: scale * p(xi)))
+    return _seed(grid, parts)
 
 
 def build_phi_NR(n: int, r: float, grid: TorusGrid,
                  partition: DyadicPartition) -> SpectralField:
-    """Smooth bump seed R phi(2^{-N} xi); support exactly [2^N, 2^{N+2}]."""
+    """Smooth bump seed R phi(2^{-N} xi); support exactly [2^N, 2^{N+2}],
+    on whose windows alone the bump is evaluated."""
     FamilySpec("phiNR", n, 0.5, r=r)
     if partition.grid != grid:
         raise DimensionError("partition and grid disagree")
     _require_band(grid, 2.0 ** (n + 2), "phi_NR", fine=False)
-    vals = r * phi_profile(grid.frequencies / 2.0**n)
-    return SpectralField(grid, (vals / grid.period).astype(complex))
+    return _seed(grid, [(2.0**n, 2.0 ** (n + 2),
+                         lambda xi: r * phi_profile(xi / 2.0**n))])
 
 
 def build_family(spec: FamilySpec, grid: TorusGrid,

@@ -108,6 +108,28 @@ class TorusGrid:
         """pi*M/lam, attained by the k = -M/2 mode."""
         return np.pi * self.mode_count / self.period
 
+    def support_windows(self, lo: float, hi: float) -> tuple:
+        """fft-order slices that cover every mode with lo <= |xi_k| <= hi.
+
+        At most two: modes k >= 0, then modes k < 0; a side with no such
+        mode is left out. Each side reaches one mode past the interval at
+        both ends, so rounding in xi_k = 2*pi*k/lam cannot drop an edge
+        mode. A profile that is exactly 0 off [lo, hi] therefore equals
+        its dense evaluation once it is evaluated on the windows and
+        zero-filled elsewhere.
+        """
+        m = self.mode_count
+        k_lo = max(int(np.ceil(lo / self.spacing)) - 1, 0)
+        k_hi = min(int(np.floor(hi / self.spacing)) + 1, m // 2)
+        windows = []
+        k_top = min(k_hi, m // 2 - 1)  # the last k >= 0 mode is M/2 - 1
+        if k_lo <= k_top:
+            windows.append(slice(k_lo, k_top + 1))
+        # k < 0 sits at fft index M + k; max(k_lo, 1) keeps mode 0 out
+        if max(k_lo, 1) <= k_hi:
+            windows.append(slice(m - k_hi, m - max(k_lo, 1) + 1))
+        return tuple(windows)
+
 
 def _hermitian_defect(coeffs: np.ndarray) -> float:
     # mode k against conj(mode -k); mode 0 is its own mirror, and
@@ -394,8 +416,18 @@ class CosineBasis(HalfBasis):
         return np.empty(self.grid.mode_count // 4 + 1, dtype=np.complex128)
 
 
+_EVEN_PROBE = 8  # low modes _exactly_even looks at before the whole spectrum
+
+
 def _exactly_even(c: np.ndarray) -> bool:
-    # real coefficients with c_{-k} == c_k bit for bit, on every row
+    # real coefficients with c_{-k} == c_k bit for bit, on every row. The
+    # probe is part of the full test, so it only turns a generic field
+    # down before the whole spectrum is read; the answer is the same.
+    p = min(_EVEN_PROBE, c.shape[-1])
+    head = c[..., :p]
+    if (np.any(head.imag) or not np.array_equal(
+            head.real[..., 1:], c.real[..., :c.shape[-1] - p:-1])):
+        return False
     return (not np.any(c.imag)
             and np.array_equal(c.real[..., 1:], c.real[..., :0:-1]))
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,88 @@ def test_partition_of_unity_on_band():
         for j in p.block_range:
             total += p.multiplier(j)
         assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+# lam = pi puts every 2^j on the lattice (xi_k = 2k), so block edges land
+# exactly on modes; lam = 3.7 puts them between modes
+@pytest.mark.parametrize("lam,m", [(np.pi, 64), (np.pi, 2 ** 16), (1.0, 64),
+                                   (3.7, 64), (3.7, 2 ** 16)])
+def test_multiplier_equals_dense_profile(lam, m):
+    g = TorusGrid(lam, m)
+    p = make_partition(g)
+    xi = g.frequencies
+    for j in p.block_range:
+        dense = eta(xi) if j == -1 else phi_profile(xi / 2.0**j)
+        got = p.multiplier(j)
+        assert np.array_equal(got, dense), j
+        assert len(p.windows(j)) <= 2
+        # widened afresh on every call: writing to one leaves the next intact
+        got[:] = 7.0
+        assert np.array_equal(p.multiplier(j), dense), j
+
+
+def _dense_block_table(coeffs2d, p):
+    # the norms' block table from full-length multipliers
+    lam = p.grid.period
+    mags = np.abs(coeffs2d) ** 2
+    return np.array([np.sqrt(lam * (mags @ p.multiplier(j) ** 2))
+                     for j in p.block_range])
+
+
+def _dense_weighted(per_block, s, q, p):
+    js = np.arange(-1, p.j_max + 1)
+    weighted = 2.0 ** (js * s) * per_block
+    value = np.max(weighted) if q == np.inf else np.sum(weighted**q) ** (1 / q)
+    return value, weighted
+
+
+@pytest.mark.parametrize("lam,m", [(np.pi, 1024), (8.0, 512), (2.0**7, 2 ** 14)])
+def test_windowed_norms_match_dense_oracle(lam, m):
+    g = TorusGrid(lam, m)
+    p = make_partition(g)
+    rng = np.random.default_rng(SEED)
+    alpha, dt, n = 0.75, 0.01, 41
+    u0 = random_band_field(g, g.max_frequency, rng)
+    traj = free_trajectory(u0, alpha, dt, n)
+    table = _dense_block_table(traj.coeffs, p)
+    for s, q in ((-0.5, 2.0), (-0.75, 1.0), (0.25, np.inf)):
+        want, blocks = _dense_weighted(table[:, 0], s, q, p)
+        rep = besov_norm(u0, s, q, p)
+        assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
+        assert np.allclose(rep.blocks, blocks, rtol=1e-13, atol=0)
+        for tp in (1, 2, np.inf):
+            per = (table.max(axis=1) if tp == np.inf else
+                   np.trapezoid(table**tp, dx=dt, axis=1) ** (1.0 / tp))
+            want, blocks = _dense_weighted(per, s, q, p)
+            rep = spacetime_besov_norm(traj, tp, s, q, p)
+            assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
+            assert np.allclose(rep.blocks, blocks, rtol=1e-13, atol=0)
+        sup, _ = _dense_weighted(table.max(axis=1), s, q, p)
+        l2, _ = _dense_weighted(
+            np.trapezoid(table**2, dx=dt, axis=1) ** 0.5, s + alpha, q, p)
+        assert x_norm(traj, s, q, alpha, p) == pytest.approx(sup + l2, rel=1e-13,
+                                                             abs=0)
+
+
+def test_besov_norm_memory_stays_below_dense_block_cache():
+    # 2^18 modes, 14 blocks: full-length blocks would keep 14 x 2 MB; the
+    # windows hold each mode in at most two blocks
+    g = TorusGrid(2.0**7, 2**18)
+    rng = np.random.default_rng(SEED)
+    u = random_band_field(g, g.max_frequency, rng)
+    p = make_partition(g)
+    assert len(p.block_range) == 14
+    g.frequencies  # the grid's own cache is not the norm's
+    bound = 8 * g.mode_count * 8  # eight float64 arrays of length M: 16 MB
+    tracemalloc.start()
+    try:
+        besov_norm(u, -0.5, 2.0, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"besov_norm peak on 2^18 modes: {peak / 2**20:.1f} MB "
+          f"(bound {bound / 2**20:.0f} MB)")
+    assert peak < bound
 
 
 def test_partition_block_index_errors():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fracheat.dyadic import besov_norm, lp_block, make_partition, modulation_norm, sobolev_norm
+from fracheat.dyadic import (besov_norm, lp_block, make_partition, modulation_norm,
+                             phi_profile, sobolev_norm)
 from fracheat.errors import DomainError, ResolutionError
 from fracheat.families import (
     CascadeReport,
@@ -76,6 +77,34 @@ def test_phi_n_resolution_errors():
         build_phi_N(512, 1.0, TorusGrid(16.0, 1024))  # band ends at 201
     with pytest.raises(ResolutionError):
         build_phi_N(4, 1.0, TorusGrid(2.0, 64))  # spacing pi > 1/4
+
+
+# lam = 8 pi (spacing 1/4) and lam = 2 pi (spacing 1) put the integers on
+# the lattice, so the indicator edges N, N+2 are modes and take the
+# midpoint value 1/2; lam = 2^9 and lam = 37 keep the edges off the lattice
+@pytest.mark.parametrize("lam,m", [(8 * np.pi, 2 ** 12), (2.0**9, 2 ** 17),
+                                   (37.0, 2 ** 12)])
+def test_windowed_seeds_equal_dense_profiles(lam, m):
+    g = TorusGrid(lam, m)
+    xi = g.frequencies
+    dense = lambda vals: (vals / g.period).astype(complex)
+    for n in (3, 4, 5, 16):
+        if n + 2.0 <= g.max_frequency and g.spacing <= 0.25:
+            f = build_phi_N(n, 0.6, g)
+            assert np.array_equal(f.coeffs, dense(phi_hat_profile(n, 0.6)(xi)))
+            if lam == 8 * np.pi:
+                half = 0.5 * n**0.6 / g.period
+                assert np.sum(f.coeffs == half) == 4  # both edges, both sides
+        if 2.0 ** (2 * n) + 2.0 <= g.max_frequency and g.spacing <= 0.25:
+            f = build_psi_N(n, 0.75, g)
+            assert np.array_equal(f.coeffs, dense(psi_hat_profile(n, 0.75)(xi)))
+    for gr in (g, TorusGrid(2 * np.pi, 256)):
+        part = make_partition(gr)
+        for n in range(1, 8):
+            if 2.0 ** (n + 2) <= gr.max_frequency:
+                f = build_phi_NR(n, 0.8, gr, part)
+                want = 0.8 * phi_profile(gr.frequencies / 2.0**n)
+                assert np.array_equal(f.coeffs, (want / gr.period).astype(complex))
 
 
 def contrast_grid() -> TorusGrid:

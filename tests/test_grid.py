@@ -10,6 +10,7 @@ from fracheat.grid import (
     HalfBasis,
     SpectralField,
     TorusGrid,
+    _exactly_even,
     _hermitian_defect,
     apply_semigroup,
     band_half,
@@ -443,3 +444,68 @@ def test_pairing_shape_check():
     u = SpectralField(g, np.zeros(64, dtype=complex))
     with pytest.raises(DimensionError):
         pair_with_test_function(u, lambda xi: np.ones(3))
+
+
+@pytest.mark.parametrize("lam,m", [(np.pi, 64), (2 * np.pi, 64), (1.0, 4),
+                                   (3.7, 1024), (np.pi, 2 ** 16)])
+def test_support_windows_cover_the_interval(lam, m):
+    # intervals whose ends land on lattice frequencies (lam = pi puts
+    # every 2^j there), off them, at zero, and past the band
+    g = TorusGrid(lam, m)
+    a = np.abs(g.frequencies)
+    top = g.max_frequency
+    for lo, hi in [(0.0, 2.0), (2.0, 8.0), (1.0, 4.0), (0.3, 0.4),
+                   (top / 4, top), (top / 2, 4 * top), (2 * top, 3 * top),
+                   (g.spacing, 3 * g.spacing)]:
+        windows = g.support_windows(lo, hi)
+        assert len(windows) <= 2
+        covered = np.zeros(m, dtype=int)
+        for sl in windows:
+            assert 0 <= sl.start < sl.stop <= m and sl.step is None
+            covered[sl] += 1
+        assert covered.max(initial=0) <= 1  # the two sides are disjoint
+        inside = (a >= lo) & (a <= hi)
+        assert np.all(covered[inside] == 1)
+        # no more than one mode of margin past either end
+        k = np.abs(g.wavenumbers[covered == 1])
+        if k.size:
+            assert k.min() >= np.ceil(lo / g.spacing) - 1
+            assert k.max() <= np.floor(hi / g.spacing) + 1
+        # k >= 0 first, then k < 0, each within its half of the fft order
+        for sl in windows:
+            assert sl.stop <= m // 2 or sl.start >= m // 2
+        if len(windows) == 2:
+            assert windows[0].stop <= m // 2 <= windows[1].start
+
+
+def _exactly_even_full_scan(c):
+    return (not np.any(c.imag)
+            and np.array_equal(c.real[..., 1:], c.real[..., :0:-1]))
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 1024])
+def test_exactly_even_equals_full_scan(m):
+    g = TorusGrid(8.0, m)
+    rng = np.random.default_rng(SEED)
+    even = _even_spectrum(rng.standard_normal(m // 2 + 1), g).astype(complex)
+
+    def off(index, step):
+        c = even.copy()
+        c[index] = step(c[index])
+        return c
+
+    ulp = lambda v: np.nextafter(v.real, np.inf)
+    ulp_last = off(-1, ulp)
+    generic = to_spectral(rng.standard_normal(m), g).coeffs
+    # the last mode's mirror is mode 1, inside the low-mode probe; its
+    # imaginary part and the modes near M/2 are seen by the full scan only
+    cases = {"even": (even, True), "ulp_last": (ulp_last, False),
+             "imag_last": (off(-1, lambda v: v + 1e-300j), False),
+             "ulp_mid": (off(m // 2 - 1, ulp), False),
+             "imag_nyquist": (off(m // 2, lambda v: v + 1e-300j), False),
+             "random": (generic, False),
+             "rows": (np.stack([even, even]), True),
+             "rows_one_off": (np.stack([even, ulp_last]), False)}
+    for name, (c, want) in cases.items():
+        assert _exactly_even(c) is want, name
+        assert _exactly_even_full_scan(c) is want, name
