@@ -1,6 +1,7 @@
 """Hot numerical kernels: the Duhamel kernel and the second-iterate quadrature.
 
-Both are plain numpy. The quadrature evaluates the kernel and its weights
+Both are plain numpy, and both read the symbol split (mu, nu) that
+picard.theta also reads. The quadrature evaluates the kernel and its weights
 on row tiles of the (targets x nodes) plane, so each temporary holds about
 TILE_ELEMS values whatever the shape.
 """
@@ -18,13 +19,19 @@ EXP_BIG = 500.0    # expm1 overflow guard; branch is exact there anyway
 TILE_ELEMS = 2 ** 16  # kernel values per quadrature tile
 
 
+def symbol_split(xi: np.ndarray, xi1: np.ndarray,
+                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, nu) = (|xi|^{2a}, |xi1|^{2a} + |xi-xi1|^{2a}) elementwise
+    (broadcasting); the symbol mismatch theta is mu - nu."""
+    p = 2.0 * alpha
+    return np.abs(xi) ** p, np.abs(xi1) ** p + np.abs(xi - xi1) ** p
+
+
 def duhamel_kernel_values(xi: np.ndarray, xi1: np.ndarray, t: float,
                           alpha: float) -> np.ndarray:
-    """e^{-|xi|^{2a} t} (e^{theta t} - 1)/theta elementwise (broadcasting),
-    theta the symbol mismatch |xi|^{2a} - |xi1|^{2a} - |xi-xi1|^{2a}."""
-    p = 2.0 * alpha
-    mu = np.abs(xi) ** p
-    nu = np.abs(xi1) ** p + np.abs(xi - xi1) ** p
+    """e^{-mu t} (e^{theta t} - 1)/theta elementwise (broadcasting), with
+    mu, nu from symbol_split and theta = mu - nu."""
+    mu, nu = symbol_split(xi, xi1, alpha)
     theta = mu - nu
     x = theta * t
     small = np.abs(x) < SERIES_CUT

@@ -17,8 +17,7 @@ class SolveConfig:
 
     sign is the coefficient sigma in the integral form u = S u0 + sigma L(u^2);
     sign = 0 disables the nonlinearity, which turns the solver into a free-flow
-    diagnostic. (s, q) select the Besov indices of the work norm, s0 the
-    auxiliary smoothing index used by weighted diagnostics.
+    diagnostic. (s, q) select the Besov indices of the work norm.
     """
 
     alpha: float
@@ -29,7 +28,6 @@ class SolveConfig:
     max_iter: int = 25
     s: float = -0.5
     q: float = 2.0
-    s0: float = 0.25
 
     def __post_init__(self):
         check_alpha(self.alpha)

@@ -154,14 +154,15 @@ def _check_domains(name: str, cfg: Dict[str, object]) -> None:
         bad("alpha", f"needs 0 < alpha <= 1, got {cfg['alpha']}")
     if "q" in cfg and not cfg["q"] >= 1.0:
         bad("q", f"needs q >= 1, got {cfg['q']}")
-    if "lambda" in cfg and not cfg["lambda"] > 0.0:
-        bad("lambda", f"needs a positive period, got {cfg['lambda']}")
+    if "lambda" in cfg and not cfg["lambda"] >= 1.0:
+        bad("lambda", f"needs a period >= 1, got {cfg['lambda']}")
     if "modes" in cfg:
-        if cfg["modes"] < 4:
-            bad("modes", f"needs at least 4 modes, got {cfg['modes']}")
-        if cfg["modes"] > BUDGET_MODES:
+        m = cfg["modes"]
+        if m < 4 or m & (m - 1):
+            bad("modes", f"needs a power of two >= 4, got {m}")
+        if m > BUDGET_MODES:
             raise BudgetError(
-                f"{name}.modes: {cfg['modes']} modes exceed the desk budget "
+                f"{name}.modes: {m} modes exceed the desk budget "
                 f"{BUDGET_MODES}")
     for key in ("dt", "T", "tol"):
         if key in cfg and not cfg[key] > 0.0:
@@ -449,8 +450,7 @@ def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
         while t_n / steps * g.max_frequency ** (2 * cfg["alpha"]) > 8.0:
             steps *= 2
         u0 = build_phi_NR(n, r, g, part)
-        conf = SolveConfig(alpha=cfg["alpha"], sign=1, T=t_n, dt=t_n / steps,
-                           picard_tol=1e-8)
+        conf = SolveConfig(alpha=cfg["alpha"], sign=1, T=t_n, dt=t_n / steps)
         terms = picard_terms(u0, k_terms, conf, store_stride=steps)
         ends = [sobolev_norm(term.final_field(), -0.5) for term in terms]
         tail = float(sum(ends[2:]))

@@ -31,12 +31,12 @@ from .trajectory import Trajectory
 
 
 def theta(xi, xi1, alpha: float):
-    """Symbol mismatch |xi|^{2a} - |xi1|^{2a} - |xi-xi1|^{2a}."""
+    """Symbol mismatch |xi|^{2a} - (|xi1|^{2a} + |xi-xi1|^{2a}), the theta
+    of the Duhamel kernel."""
     check_alpha(alpha)
-    p = 2.0 * alpha
-    xi = np.asarray(xi, dtype=float)
-    xi1 = np.asarray(xi1, dtype=float)
-    out = np.abs(xi) ** p - np.abs(xi1) ** p - np.abs(xi - xi1) ** p
+    mu, nu = _kernels.symbol_split(np.asarray(xi, dtype=float),
+                                   np.asarray(xi1, dtype=float), alpha)
+    out = mu - nu
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,41 +94,6 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     return float(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
 
 
-class _Handoff:
-    """The leading stage's samples of A_1..A_split, passed to the trailing
-    stage in two slots indexed by step parity.
-
-    The trailer reads step i's slot while the leader fills step i + 1's;
-    the free count keeps the leader from refilling a slot the trailer has
-    not finished with. abort() wakes whichever stage waits, and claim() and
-    take() then report False.
-    """
-
-    def __init__(self):
-        self._posted = threading.Semaphore(0)
-        self._free = threading.Semaphore(2)
-        self.failed = False
-
-    def claim(self) -> bool:
-        self._free.acquire()
-        return not self.failed
-
-    def post(self) -> None:
-        self._posted.release()
-
-    def take(self) -> bool:
-        self._posted.acquire()
-        return not self.failed
-
-    def done(self) -> None:
-        self._free.release()
-
-    def abort(self) -> None:
-        self.failed = True
-        self._posted.release()
-        self._free.release()
-
-
 def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                  store_stride: int = 1) -> List[Trajectory]:
     """First n_terms Taylor trajectories A_1..A_k of the flow from `seed`.
@@ -146,12 +111,14 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     The march runs on two threads as a wavefront. A_k at step i needs
     A_1..A_{k-1} at step i and A_k at step i-1, so the calling thread
     marches A_1..A_{K/2} (K = n_terms, rounded down, at least A_1) and a
-    worker marches the rest one step behind, reading the leader's samples
-    from two slots indexed by step parity. Each stage writes its samples,
-    source, transform and trapezoid step into its own buffers, allocated
-    once per call, and each term's arithmetic is that of a one-thread
-    march, so the values do not depend on the schedule. An error in either
-    stage is raised here after both have stopped.
+    worker marches the rest one step behind. Both run one loop over phases
+    p = 0..n+1 in lockstep on a two-party barrier: in phase p the leader
+    makes step p into the sample slot p % 2 and the trailer makes step
+    p - 1 from the other slot. Each stage writes its samples, source,
+    transform and trapezoid step into its own buffers, allocated once per
+    call, and each term's arithmetic is that of a one-thread march, so the
+    values do not depend on the schedule. An error in either stage breaks
+    the barrier and is raised here after both have stopped.
     """
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
@@ -173,6 +140,8 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     n_stored = n // store_stride + 1
     stored = [np.zeros((n_stored, m), dtype=complex) for _ in range(n_terms)]
     stored[0][0] = seed.coeffs
+    a1 = seed.coeffs.copy()
+    a1_band = basis.band(a1)
 
     def coeff_buffer():
         return np.zeros(basis.width, dtype=basis.coeff_dtype)
@@ -180,9 +149,10 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     def sample_buffer():
         return np.zeros(basis.n_samples, dtype=basis.sample_dtype)
 
-    def stage(terms):
+    def stage(terms, leads):
         """Step function of the terms k >= 2 in `terms`, on their own
-        buffers; phys[j] holds A_j's samples at the step being made."""
+        buffers, and of A_1 if `leads`; phys[j] holds A_j's samples at the
+        step being made."""
         acc, tmp = sample_buffer(), sample_buffer()
         work = basis.workspace()
         coeff = {k: coeff_buffer() for k in terms}
@@ -206,6 +176,10 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
 
         def step(i, phys):
             nonlocal spare
+            if leads:
+                if i > 0:
+                    np.multiply(decay, a1, out=a1)
+                basis.samples(a1_band, out=phys[1], work=work)
             if i == 0:
                 for k in terms:
                     source(k, phys, fprev[k])
@@ -220,6 +194,8 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                     basis.samples(coeff[k], out=phys[k], work=work)
             if i % store_stride == 0:
                 row = i // store_stride
+                if leads:
+                    stored[0][row] = a1
                 for k in terms:
                     basis.widen(coeff[k], out=stored[k - 1][row])
 
@@ -230,35 +206,25 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     slots = [[None] + [sample_buffer() for _ in range(split)]
              for _ in range(2)]
     own = [sample_buffer() for _ in range(split + 1, n_terms)]
-    trail_phys = [slot + own for slot in slots]
-    lead_step = stage(range(2, split + 1))
-    trail_step = stage(range(split + 1, n_terms + 1))
-    a1 = seed.coeffs.copy()
-    a1_band = basis.band(a1)
-    a1_work = basis.workspace()
-    handoff = _Handoff()
+    barrier = threading.Barrier(2)
 
-    def lead():
-        for i in range(n + 1):
-            if not handoff.claim():
-                return
-            phys = slots[i % 2]
-            if i > 0:
-                np.multiply(decay, a1, out=a1)
-                if i % store_stride == 0:
-                    stored[0][i // store_stride] = a1
-            basis.samples(a1_band, out=phys[1], work=a1_work)
-            lead_step(i, phys)
-            handoff.post()
+    def march(step, lag, phys):
+        # phase p makes step p - lag; the barrier ends each phase but the last
+        try:
+            for p in range(n + 2):
+                i = p - lag
+                if 0 <= i <= n:
+                    step(i, phys[i % 2])
+                if p <= n:
+                    barrier.wait()
+        except threading.BrokenBarrierError:
+            return  # the other stage failed; run_two raises its error
 
-    def trail():
-        for i in range(n + 1):
-            if not handoff.take():
-                return
-            trail_step(i, trail_phys[i % 2])
-            handoff.done()
-
-    run_two(lead, trail, handoff.abort, "march")
+    lead = stage(range(2, split + 1), True)
+    trail = stage(range(split + 1, n_terms + 1), False)
+    run_two(lambda: march(lead, 0, slots),
+            lambda: march(trail, 1, [slot + own for slot in slots]),
+            barrier.abort, "march")
     out_dt = config.dt * store_stride
     return [Trajectory(grid, out_dt, arr, is_real=seed.is_real)
             for arr in stored]

@@ -110,6 +110,11 @@ def test_validate_config_domain_checks():
         validate_config("besov-scaling", {"N_min": "9", "N_max": "6"})
     with pytest.raises(ConfigError, match="wellposed-scaling.sweep"):
         validate_config("wellposed-scaling", {"sweep": "3"})
+    # both used to pass here and fail later in TorusGrid, naming no key
+    with pytest.raises(ConfigError, match="solve.lambda"):
+        validate_config("solve", {"lambda": "0.5"})
+    with pytest.raises(ConfigError, match="solve.modes"):
+        validate_config("solve", {"modes": "500"})
 
 
 def test_validate_config_budget_gate():

@@ -425,16 +425,27 @@ def _fail_on(module, name, thread, at):
     return wrapped
 
 
-@pytest.mark.parametrize("thread", ["lead", "trail"])
-@pytest.mark.parametrize("name,at", [("band_half", 1), ("band_half", 9),
-                                     ("trapezoid_step", 1),
-                                     ("trapezoid_step", 20)])
+# With 6 terms over 16 steps the leading stage makes 2 trapezoid steps a
+# step (A_2, A_3) and the trailing one 3 (A_4..A_6), so their last calls
+# are the 32nd and the 48th.
+_STAGE_FAULTS = [(name, at, thread)
+                 for name, at in [("band_half", 1), ("band_half", 9),
+                                  ("trapezoid_step", 1),
+                                  ("trapezoid_step", 20)]
+                 for thread in ("lead", "trail")]
+_STAGE_FAULTS += [("trapezoid_step", 32, "lead"),
+                  ("trapezoid_step", 48, "trail")]
+
+
+@pytest.mark.parametrize("name,at,thread", _STAGE_FAULTS)
 def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
                                                  at):
     # band_half's first call is at step 0 (the initial sources), so the
-    # other stage is then still waiting on the first handoff; the later
-    # calls fail mid-march. Either way the error is raised here and the
-    # worker is gone (the autouse fixture checks the thread list too).
+    # other stage is then still waiting on the first phase's barrier; the
+    # later calls fail mid-march, and each stage's last trapezoid step
+    # fails in the last phase that stage works in. Either way the error is
+    # raised here and the worker is gone (the autouse fixture checks the
+    # thread list too).
     # The march reaches band_half through its basis, in grid.
     seed = _full_band_seed(True)
     module = grid if name == "band_half" else picard
