@@ -167,6 +167,15 @@ def _check_domains(name: str, cfg: Dict[str, object]) -> None:
     for key in ("dt", "T", "tol"):
         if key in cfg and not cfg[key] > 0.0:
             bad(key, f"must be positive, got {cfg[key]}")
+    if "dt" in cfg:
+        # the solver's own rules: a whole step count, and the stability
+        # gate on this grid's band
+        try:
+            band = TorusGrid(cfg["lambda"], cfg["modes"]).max_frequency
+            SolveConfig(alpha=cfg["alpha"], T=cfg["T"],
+                        dt=cfg["dt"]).check_stability(band)
+        except ConfigError as exc:
+            bad("dt", str(exc))
     if "N_min" in cfg and cfg["N_min"] < 1:
         bad("N_min", f"needs N >= 1, got {cfg['N_min']}")
     if "N_max" in cfg and "N_min" in cfg and cfg["N_max"] < cfg["N_min"]:

@@ -70,24 +70,43 @@ def _chi_pair(xi, lo: float, hi: float) -> np.ndarray:
                     np.where((a == lo) | (a == hi), 0.5, 0.0))
 
 
+class _Profile:
+    """An elementwise frequency profile given as parts (lo, hi, f): each f
+    is exactly 0 off lo <= |xi| <= hi, and the supports are disjoint.
+
+    Calling it sums the parts, so at any xi it takes the one nonzero
+    part's value. Builders and second_iterate_hat read parts to evaluate
+    each f on the support windows of its interval only.
+    """
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __call__(self, xi):
+        (_, _, first), *rest = self.parts
+        acc = first(xi)
+        for _, _, f in rest:
+            acc = acc + f(xi)
+        return acc
+
+
 def phi_hat_profile(n: int, alpha: float) -> Callable:
-    """The transform xi -> N^a (chi_{I_N}(xi) + chi_{I_N}(-xi))."""
+    """The transform xi -> N^a (chi_{I_N}(xi) + chi_{I_N}(-xi)), one part
+    on N <= |xi| <= N+2."""
     amp = float(n) ** alpha
-    return lambda xi: amp * _chi_pair(xi, float(n), float(n) + 2.0)
+    return _Profile([(float(n), n + 2.0,
+                      lambda xi: amp * _chi_pair(xi, float(n), n + 2.0))])
 
 
 def psi_hat_profile(n: int, alpha: float) -> Callable:
-    """The transform of N^{-1/2} sum_{N <= j <= 2N} phi_{2^j}."""
-    parts = [phi_hat_profile(2**j, alpha) for j in range(n, 2 * n + 1)]
+    """The transform of N^{-1/2} sum_{N <= j <= 2N} phi_{2^j}, one scaled
+    part per j; the parts are disjoint for N >= 3."""
     scale = 1.0 / np.sqrt(float(n))
-
-    def profile(xi):
-        acc = parts[0](xi)
-        for p in parts[1:]:
-            acc = acc + p(xi)
-        return scale * acc
-
-    return profile
+    parts = []
+    for j in range(n, 2 * n + 1):
+        lo, hi, f = phi_hat_profile(2**j, alpha).parts[0]
+        parts.append((lo, hi, lambda xi, f=f: scale * f(xi)))
+    return _Profile(parts)
 
 
 def _require_band(grid: TorusGrid, top: float, what: str,
@@ -110,14 +129,17 @@ def _seed(grid: TorusGrid, parts) -> SpectralField:
 
     Each profile is evaluated on its support windows only and every other
     mode is zero, so the coefficients equal those of the dense profile
-    bit for bit. The windows are added in, as 0 + v == v: a margin mode
-    one part's window shares with another's gains only that part's 0."""
+    bit for bit, and the field's checks read those windows alone. The
+    windows are added in, as 0 + v == v: a margin mode one part's window
+    shares with another's gains only that part's 0."""
     coeffs = np.zeros(grid.mode_count, dtype=complex)
     xi = grid.frequencies
+    windows = []
     for lo, hi, profile in parts:
         for sl in grid.support_windows(lo, hi):
             coeffs[sl] += profile(xi[sl]) / grid.period
-    return SpectralField(grid, coeffs)
+            windows.append(sl)
+    return SpectralField(grid, coeffs, _windows=tuple(windows))
 
 
 def build_phi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
@@ -125,7 +147,7 @@ def build_phi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
     evaluated on the support windows of +-[N, N+2] only."""
     FamilySpec("phiN", n, alpha)
     _require_band(grid, n + 2.0, "phi_N")
-    return _seed(grid, [(n, n + 2.0, phi_hat_profile(n, alpha))])
+    return _seed(grid, phi_hat_profile(n, alpha).parts)
 
 
 def build_psi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
@@ -136,13 +158,7 @@ def build_psi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
     the one nonzero term of the dense sum, scaled as there."""
     FamilySpec("psiN", n, alpha)
     _require_band(grid, 2.0 ** (2 * n) + 2.0, "psi_N")
-    scale = 1.0 / np.sqrt(float(n))
-    parts = []
-    for j in range(n, 2 * n + 1):
-        profile = phi_hat_profile(2**j, alpha)
-        parts.append((2.0**j, 2.0**j + 2.0,
-                      lambda xi, p=profile: scale * p(xi)))
-    return _seed(grid, parts)
+    return _seed(grid, psi_hat_profile(n, alpha).parts)
 
 
 def build_phi_NR(n: int, r: float, grid: TorusGrid,
@@ -207,9 +223,10 @@ def verify_cascade(n: int, alpha: float, t: float, grid: TorusGrid,
     min_value = float(np.min(values))
     passes = min_value >= threshold * (1.0 - quad_tol)
 
-    # resonance geometry on the lattice
-    freqs = grid.frequencies
-    pos = freqs[(freqs > n) & (freqs < n + 2.0)]
+    # resonance geometry on the lattice: the points of I_N, read from the
+    # k >= 0 window of +-I_N
+    near = grid.frequencies[grid.support_windows(n, n + 2.0)[0]]
+    pos = near[(near > n) & (near < n + 2.0)]
     lo, hi = float(n) ** (2 * alpha), 2.0 * (n + 2.0) ** (2 * alpha)
     theta_min, theta_max = np.inf, 0.0
     k1_hits = 0
@@ -242,9 +259,12 @@ def pairing_lower_bound(n: int, alpha: float, t: float,
     _require_band(grid, n + 2.0, "pairing_lower_bound")
     profile = phi_hat_profile(n, alpha)
     freqs = grid.frequencies
-    low = np.abs(freqs) <= 0.5
+    # the modes |xi_k| <= 1/2, in fft order, found on their windows
+    windows = grid.support_windows(0.0, 0.5)
+    low = np.concatenate([sl.start + np.flatnonzero(np.abs(freqs[sl]) <= 0.5)
+                          for sl in windows])
     za = second_iterate_hat(profile, t, freqs[low], alpha, grid)
     coeffs = np.zeros(grid.mode_count, dtype=complex)
     coeffs[low] = za / (4.0 * np.pi * grid.period)
-    field = SpectralField(grid, coeffs)
+    field = SpectralField(grid, coeffs, _windows=windows)
     return pair_with_test_function(field, lambda xi: eta(4.0 * xi))

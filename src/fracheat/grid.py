@@ -36,9 +36,9 @@ so a march can reuse its buffers; the values do not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -131,12 +131,35 @@ class TorusGrid:
         return tuple(windows)
 
 
-def _hermitian_defect(coeffs: np.ndarray) -> float:
-    # mode k against conj(mode -k); mode 0 is its own mirror, and
-    # |c0 - conj(c0)| = 2|Im c0|
-    mirror_gap = np.max(np.abs(coeffs[1:] - np.conj(coeffs[:0:-1])))
-    defect = max(2.0 * abs(coeffs[0].imag), float(mirror_gap))
-    return defect / max(1.0, float(np.max(np.abs(coeffs))))
+def _hermitian_defect(coeffs: np.ndarray,
+                      windows: Optional[tuple] = None) -> float:
+    """max_k |c_k - conj(c_{-k})| / max(1, max_k |c_k|).
+
+    windows, if given, are fft-order slices that hold every nonzero mode;
+    both maxima are then taken over them alone, which gives the same value
+    as the whole spectrum: a mode off the windows is 0, and its pair with a
+    mode k on them is |c_k - conj(c_{-k})| read from mode k.
+    """
+    if windows is None:
+        windows = (slice(0, coeffs.shape[0]),)
+    gap = scale = 0.0
+    for sl in windows:
+        gap = max(gap, _mirror_gap(coeffs, sl.start, sl.stop))
+        scale = max(scale, float(np.max(np.abs(coeffs[sl]), initial=0.0)))
+    return gap / max(1.0, scale)
+
+
+def _mirror_gap(c: np.ndarray, a: int, b: int) -> float:
+    # max |c_k - conj(c_{-k})| over fft indices a..b-1; mode 0 is its own
+    # mirror, and |c0 - conj(c0)| = 2|Im c0|
+    m = c.shape[0]
+    gap = 0.0
+    if a == 0:
+        gap, a = 2.0 * abs(c[0].imag), 1
+    if a < b:
+        gap = max(gap, float(np.max(np.abs(
+            c[a:b] - np.conj(c[m - b + 1:m - a + 1][::-1])))))
+    return gap
 
 
 @dataclass(frozen=True)
@@ -145,24 +168,32 @@ class SpectralField:
 
     is_real declares that the physical samples are real; construction then
     enforces Hermitian symmetry c_{-k} = conj(c_k) to 1e-12 relative.
+    A builder that knows its nonzero modes passes their fft-order slices
+    as _windows (every other mode must be 0); the checks then read those
+    windows only.
     """
 
     grid: TorusGrid
     coeffs: np.ndarray
     is_real: bool = True
+    _: KW_ONLY
+    _windows: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _windows):
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (self.grid.mode_count,):
             raise DimensionError(
                 f"coefficient array has shape {c.shape}, grid wants ({self.grid.mode_count},)")
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise DomainError("non-finite coefficient")
+        for sl in (slice(None),) if _windows is None else _windows:
+            if not np.all(np.isfinite(c[sl].view(np.float64))):
+                raise DomainError("non-finite coefficient")
         object.__setattr__(self, "coeffs", c)
-        if self.is_real and _hermitian_defect(c) > HERMITIAN_RTOL:
-            raise SymmetryError(
-                f"field declared real but Hermitian defect {_hermitian_defect(c):.3e} "
-                f"exceeds {HERMITIAN_RTOL:.0e}")
+        if self.is_real:
+            defect = _hermitian_defect(c, _windows)
+            if defect > HERMITIAN_RTOL:
+                raise SymmetryError(
+                    f"field declared real but Hermitian defect {defect:.3e} "
+                    f"exceeds {HERMITIAN_RTOL:.0e}")
 
     def copy_with(self, coeffs: np.ndarray, is_real: bool | None = None) -> "SpectralField":
         return SpectralField(self.grid, coeffs,

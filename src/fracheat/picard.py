@@ -64,25 +64,43 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     the lattice band. phihat must act elementwise: the weights
     phihat(xi1) phihat(xi - xi1) are built one row tile of targets at a
     time, so memory does not grow with targets x nodes.
+
+    The nodes xi1 are found on support windows. A profile that carries
+    parts, (lo, hi, f) triples with disjoint supports lo <= |xi| <= hi
+    whose sum is phihat (families' profiles do), has each f evaluated on
+    the windows of its interval only; a plain callable is the one part on
+    [0, max|xi_k|], the whole lattice. The nodes keep fft order either way.
     """
     check_alpha(alpha)
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
     freqs = lattice.frequencies
-    w1 = np.asarray(phihat(freqs), dtype=float)
-    if w1.shape != freqs.shape:
-        raise DomainError("phihat returned wrong shape on the lattice")
-    lo, hi = np.argmin(freqs), np.argmax(freqs)
-    if w1[lo] != 0.0 or w1[hi] != 0.0:
+    parts = getattr(phihat, "parts", ((0.0, lattice.max_frequency, phihat),))
+    nodes, node_w = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for lo, hi, f in parts:
+        for sl in lattice.support_windows(lo, hi):
+            w = np.asarray(f(freqs[sl]), dtype=float)
+            if w.shape != freqs[sl].shape:
+                raise DomainError("phihat returned wrong shape on the lattice")
+            hit = np.flatnonzero(w)
+            nodes.append(hit + sl.start)
+            node_w.append(w[hit])
+    nz = np.concatenate(nodes)
+    order = np.argsort(nz, kind="stable")
+    nz, w1 = nz[order], np.concatenate(node_w)[order]
+    # the band's edge modes k = M/2 - 1 and -M/2 sit at fft indices
+    # M/2 - 1 and M/2; nz is sorted, so the first node >= M/2 - 1 tells
+    h = lattice.mode_count // 2
+    first = np.searchsorted(nz, h - 1)
+    if first < nz.size and nz[first] <= h:
         raise ResolutionError(
             "phihat support reaches the edge of the lattice band; enlarge the band")
-    nz = np.flatnonzero(w1)
     targets = np.atleast_1d(np.asarray(xi, dtype=float))
     if nz.size == 0:
         vals = np.zeros(targets.shape[0])
     else:
         xi1 = freqs[nz]
-        w1 = w1[nz][None, :]
+        w1 = w1[None, :]
 
         def weights(a, b):
             pair = targets[a:b, None] - xi1[None, :]

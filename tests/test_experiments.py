@@ -115,6 +115,14 @@ def test_validate_config_domain_checks():
         validate_config("solve", {"lambda": "0.5"})
     with pytest.raises(ConfigError, match="solve.modes"):
         validate_config("solve", {"modes": "500"})
+    # these passed here and failed in SolveConfig or the stability gate,
+    # naming no key
+    with pytest.raises(ConfigError, match="solve.dt: T/dt"):
+        validate_config("solve", {"dt": "0.03"})
+    with pytest.raises(ConfigError, match="dilation-check.dt: T/dt"):
+        validate_config("dilation-check", {"dt": "0.03"})
+    with pytest.raises(ConfigError, match="solve.dt: .*stability gate"):
+        validate_config("solve", {"dt": "0.5"})
 
 
 def test_validate_config_budget_gate():

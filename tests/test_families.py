@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fracheat import _kernels
 from fracheat.dyadic import (besov_norm, lp_block, make_partition, modulation_norm,
                              phi_profile, sobolev_norm)
 from fracheat.errors import DomainError, ResolutionError
@@ -252,3 +255,95 @@ def test_profiles_match_builders():
     f = build_phi_N(40, 0.6, g)
     direct = phi_hat_profile(40, 0.6)(g.frequencies) / g.period
     assert np.array_equal(f.coeffs.real, direct)
+
+
+def _dense_second_iterate(phihat, t, xi, alpha, lattice):
+    # the quadrature as it was before the profiles carried parts: phihat
+    # evaluated on the whole lattice, the nodes its nonzero modes
+    freqs = lattice.frequencies
+    w1 = np.asarray(phihat(freqs), dtype=float)
+    lo, hi = np.argmin(freqs), np.argmax(freqs)
+    if w1[lo] != 0.0 or w1[hi] != 0.0:
+        raise ResolutionError("support reaches the edge of the lattice band")
+    nz = np.flatnonzero(w1)
+    targets = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi1, w1 = freqs[nz], w1[nz][None, :]
+
+    def weights(a, b):
+        pair = targets[a:b, None] - xi1[None, :]
+        return w1 * np.asarray(phihat(pair), dtype=float)
+
+    return _kernels.second_iterate_values(
+        targets, xi1, weights, float(t), float(alpha),
+        4.0 * np.pi / lattice.period)
+
+
+def _desk_cases():
+    # the desk-suite's quadrature calls: endpoint-cascade (psi_N), cascade
+    # and its pairing (phi_N), the phase-diagram cell (phi_N at alpha 0)
+    scan = np.linspace(-0.5, 0.5, 21)
+    g = TorusGrid(128.0, 2**19)
+    for n in (3, 6):
+        yield g, psi_hat_profile(n, 0.75), 0.5, scan, 0.75
+    g = TorusGrid(32.0, 2**17)
+    low = g.frequencies[np.abs(g.frequencies) <= 0.5]
+    for n in (2**9, 2**12):
+        yield g, phi_hat_profile(n, 0.75), 0.5, scan, 0.75
+        yield g, phi_hat_profile(n, 0.75), 0.5, low, 0.75
+    g = TorusGrid(64.0, 2048)
+    for n in (7, 12):
+        top = 2.0 * (n + 2.0) + 1.0
+        cell = np.linspace(0.0, top, int(8 * top) + 1)
+        for t in (1e-5, 0.5):
+            yield g, phi_hat_profile(n, 0.0), t, cell, 0.75
+    yield g, psi_hat_profile(3, 0.75), 0.5, scan, 0.75
+
+
+def test_profiles_second_iterate_equals_dense_oracle():
+    for g, profile, t, targets, alpha in _desk_cases():
+        got = second_iterate_hat(profile, t, targets, alpha, g)
+        want = _dense_second_iterate(profile, t, targets, alpha, g)
+        assert np.array_equal(got, want), (g, t)
+
+
+def test_profile_reaching_band_edge_is_refused():
+    # the band ends at 100.53 inside phi_99's [99, 101], and at 65 inside
+    # psi_3's top part [64, 66]
+    cases = [(TorusGrid(64.0, 2048), phi_hat_profile(99, 0.75)),
+             (TorusGrid(2048 * np.pi / 65, 2048), psi_hat_profile(3, 0.75))]
+    for g, profile in cases:
+        for route in (second_iterate_hat, _dense_second_iterate):
+            with pytest.raises(ResolutionError):
+                route(profile, 0.5, 0.0, 0.75, g)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_psi_seed_memory_stays_near_its_coefficients():
+    # 2^19 modes: the coefficients take 8 MiB; the seed's checks read its
+    # windows only, where a full-spectrum check takes 16 MiB more
+    g = TorusGrid(128.0, 2**19)
+    g.frequencies  # the grid's own cache is not the builder's
+    peak = _peak_bytes(lambda: build_psi_N(6, 0.75, g))
+    print(f"build_psi_N(6) peak on 2^19 modes: {peak / 2**20:.1f} MiB")
+    assert peak < 10 * 2**20
+
+
+def test_psi_second_iterate_memory_stays_off_the_lattice():
+    # the nodes come from the parts' windows, with no lattice-length
+    # profile array (4 MiB per part at 2^19 modes)
+    g = TorusGrid(128.0, 2**19)
+    g.frequencies
+    scan = np.linspace(-0.5, 0.5, 21)
+    peak = _peak_bytes(lambda: second_iterate_hat(psi_hat_profile(6, 0.75),
+                                                  0.5, scan, 0.75, g))
+    print(f"second_iterate_hat(psi_6) peak on 2^19 modes: "
+          f"{peak / 2**20:.2f} MiB")
+    assert peak < 2 * 2**20

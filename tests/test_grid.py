@@ -358,6 +358,60 @@ def test_hermitian_defect_equals_roll_oracle(m):
     assert _hermitian_defect(imag_nyquist) > 0.0
 
 
+def _windowed_seed(g, parts):
+    # a seed as the family builders make one: each part, exactly 0 off
+    # lo <= |xi| <= hi, evaluated on its support windows; every other mode 0
+    c = np.zeros(g.mode_count, dtype=complex)
+    windows = []
+    for lo, hi in parts:
+        for sl in g.support_windows(lo, hi):
+            xi = g.frequencies[sl]
+            inside = (np.abs(xi) >= lo) & (np.abs(xi) <= hi)
+            c[sl] += np.where(inside, 2.0 + np.cos(xi), 0.0)
+            windows.append(sl)
+    return c, tuple(windows)
+
+
+# lam = pi (spacing 2): [2, 4] and [6, 8] have windows that share the
+# margin modes k = 2, 3 on each side; [0, 2] reaches mode 0 and
+# [top/2, top] the self-mirrored mode -M/2. lam = 37 keeps ends off the
+# lattice.
+@pytest.mark.parametrize("lam,m,parts", [
+    (np.pi, 64, [(0.0, 2.0), (2.0, 4.0), (6.0, 8.0)]),
+    (np.pi, 64, [(32.0, 64.0)]),
+    (37.0, 1024, [(1.0, 3.0), (16.0, 18.0), (40.0, 86.9)]),
+])
+def test_windowed_hermitian_defect_equals_full(lam, m, parts):
+    g = TorusGrid(lam, m)
+    c, windows = _windowed_seed(g, parts)
+    assert _hermitian_defect(c, windows) == _hermitian_defect(c) == 0.0
+    SpectralField(g, c, _windows=windows)
+    # off symmetry inside the windows, mode 0 and -M/2 included
+    rng = np.random.default_rng(SEED)
+    on = np.zeros(m, dtype=bool)
+    for sl in windows:
+        on[sl] = True
+    for _ in range(4):
+        off = c.copy()
+        off[on] += (rng.standard_normal(on.sum())
+                    + 1j * rng.standard_normal(on.sum()))
+        assert _hermitian_defect(off, windows) == _hermitian_defect(off) > 0.0
+
+
+@pytest.mark.parametrize("mode", [5, -5, 16, -16])
+def test_windowed_check_still_refuses_asymmetric_seed(mode):
+    # one mirror mode off by 1e-11 relative, inside the windows
+    g = TorusGrid(37.0, 1024)
+    c, windows = _windowed_seed(g, [(0.5, 3.0), (40.0, 86.9)])
+    assert c[mode] != 0.0
+    scale = np.max(np.abs(c))
+    c[mode] += 1e-11 * scale
+    with pytest.raises(SymmetryError):
+        SpectralField(g, c, _windows=windows)
+    with pytest.raises(SymmetryError):
+        SpectralField(g, c)
+
+
 def test_out_buffers_leave_values_unchanged():
     # prefilled output buffers must be overwritten whole: every primitive
     # gives with out= exactly what it gives without
