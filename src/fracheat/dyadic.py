@@ -15,13 +15,20 @@ the windows alone, and multiplier(j) rebuilds the full-length block, bit
 for bit the dense one, on each call without keeping it. Blocks j-1 and j
 share the level eta(xi/2^j); it is evaluated once, where it is neither
 0 nor 1.
+
+besov_norm reads the field's support (SpectralField keeps the windows a
+seed builder declares, and a dense field has the single window [0, M)):
+it squares |c| on those windows only and sums each block over its
+windows clipped to them. The clipped blocks are evaluated afresh from the
+same levels, clipped alike, so a seed's norm never builds the whole
+table, which the whole window [0, M) reads and a partition keeps.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +67,6 @@ class DyadicPartition:
 
     grid: TorusGrid
     j_max: int
-    _blocks: Dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     def windows(self, j: int) -> tuple:
         """Block j as ((slice, values), ...) over its support windows."""
@@ -69,27 +75,60 @@ class DyadicPartition:
         if j > self.j_max:
             raise ResolutionError(
                 f"block {j} exceeds j_max = {self.j_max} for this grid band")
-        if not self._blocks:
-            self._build()
-        return self._blocks[j]
+        return self._table[j + 1]
 
-    def _build(self) -> None:
+    def _blocks_on(self, window: slice) -> tuple:
+        """Every block on one fft-order window, in block_range order: block
+        j as ((slice, values), ...) over its support windows clipped to
+        window, each value bit for bit the whole table's at that mode.
+
+        The whole spectrum [0, M) gives the whole table, built on first use
+        and kept; any other window is evaluated afresh, on its modes alone.
+        """
+        if window == slice(0, self.grid.mode_count):
+            return self._table
+        return self._clipped(window)
+
+    @cached_property
+    def _table(self) -> tuple:
+        return self._clipped(slice(0, self.grid.mode_count))
+
+    @cached_property
+    def _layout(self) -> tuple:
+        # (levels, blocks): the support windows of each level's glue
+        # 2^L <= |xi| <= 2^{L+1} and of each block, each with the |k|
+        # range its windows span
+        grid = self.grid
+        levels = [grid.support_windows(2.0**level, 2.0 ** (level + 1))
+                  for level in range(self.j_max + 2)]
+        blocks = [grid.support_windows(*((0.0, 2.0) if j == -1 else
+                                         (2.0**j, 2.0 ** (j + 2))))
+                  for j in self.block_range]
+        m = grid.mode_count
+        return tuple([(_reach(w, m), w) for w in ws] for ws in (levels, blocks))
+
+    def _clipped(self, window: slice) -> tuple:
         # Block j >= 0 is eta(xi/2^{j+1}) - eta(xi/2^j), as phi_profile
         # forms it (xi/2^j/2 == xi/2^{j+1} exactly), and block -1 is eta.
         # Level L, eta(xi/2^L), is exactly 1 for |xi| <= 2^L and 0 for
         # |xi| >= 2^{L+1}, so it is evaluated once, on the windows of its
-        # glue 2^L <= |xi| <= 2^{L+1}, which lie inside the windows of both
-        # blocks that read it.
-        grid, xi = self.grid, self.grid.frequencies
-        glue = {level: tuple((sl, _tiled_eta(xi[sl] / 2.0**level))
-                             for sl in grid.support_windows(2.0**level,
-                                                            2.0 ** (level + 1)))
-                for level in range(self.j_max + 2)}
-        for j in self.block_range:
-            lo, hi = (0.0, 2.0) if j == -1 else (2.0**j, 2.0 ** (j + 2))
-            self._blocks[j] = tuple(
-                (sl, _block_values(sl, glue[j + 1], glue.get(j, ())))
-                for sl in grid.support_windows(lo, hi))
+        # glue, which lie inside the windows of both blocks that read it;
+        # clipping both to one window keeps that nesting. eta is
+        # elementwise, so a clipped value is the unclipped one. A level or
+        # block whose |k| range misses the window's has no mode in it.
+        xi = self.grid.frequencies
+        lo, hi = _reach((window,), self.grid.mode_count)
+        levels, blocks = self._layout
+        glue = {}
+        for level, ((k_lo, k_hi), windows) in enumerate(levels):
+            if k_lo <= hi and lo <= k_hi:
+                glue[level] = tuple((sl, _tiled_eta(xi[sl] / 2.0**level))
+                                    for sl in _clip(windows, window))
+        return tuple(
+            () if k_lo > hi or lo > k_hi else
+            tuple((sl, _block_values(sl, glue.get(j + 1, ()), glue.get(j, ())))
+                  for sl in _clip(windows, window))
+            for j, ((k_lo, k_hi), windows) in zip(self.block_range, blocks))
 
     def multiplier(self, j: int) -> np.ndarray:
         """Block j on the whole grid, fft order; a fresh array per call."""
@@ -101,6 +140,27 @@ class DyadicPartition:
     @property
     def block_range(self) -> range:
         return range(-1, self.j_max + 1)
+
+
+def _reach(windows: tuple, m: int) -> tuple:
+    # (least, largest) |k| over the modes of fft-order slices; (1, 0) for
+    # none. Modes k >= 0 sit at index k, modes k < 0 at index M + k.
+    ks = []
+    for sl in windows:
+        a, b = sl.start, sl.stop
+        if a < min(b, m // 2):
+            ks += [a, min(b, m // 2) - 1]
+        if max(a, m // 2) < b:
+            ks += [m - b + 1, m - max(a, m // 2)]
+    return (min(ks), max(ks)) if ks else (1, 0)
+
+
+def _clip(windows: tuple, window: slice):
+    # the nonempty intersections of fft-order slices with one window
+    for sl in windows:
+        a, b = max(sl.start, window.start), min(sl.stop, window.stop)
+        if a < b:
+            yield slice(a, b)
 
 
 def _tiled_eta(x: np.ndarray) -> np.ndarray:
@@ -184,25 +244,34 @@ def _lq(values: np.ndarray, q: float) -> float:
     return float(np.sum(values**q) ** (1.0 / q))
 
 
-def _block_l2_table(coeffs2d: np.ndarray, partition: DyadicPartition) -> np.ndarray:
-    """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}, each block
-    summed over its windows only."""
+def _block_l2_table(coeffs2d: np.ndarray, partition: DyadicPartition,
+                    support: tuple) -> np.ndarray:
+    """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}.
+
+    support lists disjoint fft-order windows that hold every nonzero mode.
+    |c|^2 is formed on them alone, and each block is summed over its
+    windows clipped to them; a dense field's single window [0, M) sums
+    each block over its whole windows.
+    """
     lam = partition.grid.period
-    mags = np.abs(coeffs2d) ** 2
-    table = np.zeros((len(partition.block_range), mags.shape[0]))
-    for row, j in zip(table, partition.block_range):
-        for sl, vals in partition.windows(j):
-            row += mags[:, sl] @ (vals * vals)
+    table = np.zeros((len(partition.block_range), coeffs2d.shape[0]))
+    for window in support:
+        a = window.start
+        mags = np.abs(coeffs2d[:, window]) ** 2
+        for row, block in zip(table, partition._blocks_on(window)):
+            for sl, vals in block:
+                row += mags[:, sl.start - a:sl.stop - a] @ (vals * vals)
     return np.sqrt(lam * table)
 
 
 def besov_norm(u: SpectralField, s: float, q: float,
                partition: DyadicPartition) -> NormReport:
-    """B^{s,q} norm: l^q over j of 2^{js} ||Delta_j u||_{L^2}."""
+    """B^{s,q} norm: l^q over j of 2^{js} ||Delta_j u||_{L^2}, summed on
+    the field's support."""
     q = _check_q(q)
     if u.grid != partition.grid:
         raise DimensionError("field and partition live on different grids")
-    raw = _block_l2_table(u.coeffs[None, :], partition)[:, 0]
+    raw = _block_l2_table(u.coeffs[None, :], partition, u._support)[:, 0]
     js = np.arange(-1, partition.j_max + 1)
     weighted = 2.0 ** (js * s) * raw
     return NormReport("besov", s, q, None, _lq(weighted, q), tuple(weighted))
@@ -240,7 +309,8 @@ def spacetime_besov_norm(traj: Trajectory, p: float, s: float, q: float,
         raise DomainError(f"time exponent p must be 1, 2, or inf, got {p}")
     if traj.grid != partition.grid:
         raise DimensionError("trajectory and partition live on different grids")
-    table = _block_l2_table(traj.coeffs, partition)
+    table = _block_l2_table(traj.coeffs, partition,
+                            (slice(0, traj.grid.mode_count),))
     return _spacetime_report(table, traj.dt, p, s, q, partition)
 
 
@@ -252,7 +322,8 @@ def x_norm(traj: Trajectory, s: float, q: float, alpha: float,
     q = _check_q(q)
     if traj.grid != partition.grid:
         raise DimensionError("trajectory and partition live on different grids")
-    table = _block_l2_table(traj.coeffs, partition)
+    table = _block_l2_table(traj.coeffs, partition,
+                            (slice(0, traj.grid.mode_count),))
     a = _spacetime_report(table, traj.dt, np.inf, s, q, partition)
     b = _spacetime_report(table, traj.dt, 2, s + alpha, q, partition)
     return a.value + b.value

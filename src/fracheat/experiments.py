@@ -30,11 +30,12 @@ import numpy as np
 from . import __version__
 from .config import SolveConfig
 from .dyadic import algebra_constant, besov_norm, make_partition, sobolev_norm
-from .errors import BudgetError, ConfigError, DomainError
+from .errors import BudgetError, ConfigError, DomainError, ResolutionError
 from .evolution import (dilation_rescale, fixed_point_solve, integral_residual,
                         smoothing_constant)
 from .families import (FamilySpec, build_family, build_phi_NR, build_psi_N,
                        pairing_lower_bound, phi_hat_profile, psi_hat_profile,
+                       require_band, require_spacing, support_top,
                        verify_cascade)
 from .grid import SpectralField, TorusGrid, apply_semigroup, to_spectral
 from .picard import hs_norm_from_hat_scan, picard_terms, second_iterate_hat
@@ -191,11 +192,46 @@ def _check_domains(name: str, cfg: Dict[str, object]) -> None:
         bad("family", f"unknown family {cfg['family']!r}")
     if "norm" in cfg and cfg["norm"] < 0.0:
         bad("norm", f"target norm must be >= 0, got {cfg['norm']}")
+    seed = _largest_seed(name, cfg)
+    if seed is not None:
+        # the family builders' own rules, on this experiment's grid: the
+        # spacing does not depend on N, the band does
+        family, key, top = seed
+        grid = TorusGrid(cfg["lambda"], cfg["modes"])
+        try:
+            require_spacing(grid, family, family)
+        except ResolutionError as exc:
+            bad("lambda", str(exc))
+        try:
+            require_band(grid, top, family)
+        except ResolutionError as exc:
+            bad(key, str(exc))
     if name == "norm-inflation" and 2 ** (cfg["N_max"] + 4) > BUDGET_MODES:
         # fail before any grid of that size is allocated
         raise BudgetError(
             f"{name}.N_max: the schedule needs 2^{cfg['N_max'] + 4} modes, "
             f"over the desk budget {BUDGET_MODES}")
+
+
+def _largest_seed(name: str, cfg: Dict[str, object]):
+    """(family, config key, top |xi|) of the largest seed an experiment
+    builds on its own grid, or None if it builds none."""
+    dyadic = False  # the family index is 2^N, not N
+    if name in ("solve", "dilation-check"):
+        family, key = cfg["family"], "N_min"
+    elif name == "endpoint-cascade" or (name == "besov-scaling"
+                                        and cfg["family"] == "psiN"):
+        family, key = "psiN", "N_max"
+    elif name == "cascade" or (name == "besov-scaling"
+                               and cfg["family"] == "phiN"):
+        family, key, dyadic = "phiN", "N_max", True
+    else:
+        return None  # besov-scaling's run refuses phiNR, naming the family
+    try:
+        n = 2.0 ** cfg[key] if dyadic else cfg[key]
+        return family, key, support_top(family, n)
+    except OverflowError:  # past the float range, so past any band
+        return family, key, math.inf
 
 
 def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:

@@ -109,15 +109,28 @@ def psi_hat_profile(n: int, alpha: float) -> Callable:
     return _Profile(parts)
 
 
-def _require_band(grid: TorusGrid, top: float, what: str,
-                  fine: bool = True) -> None:
+def support_top(family: str, n: int) -> float:
+    """The largest |xi| the seed of family member n reaches."""
+    if family == "phiN":
+        return n + 2.0
+    if family == "psiN":
+        return 2.0 ** (2 * n) + 2.0
+    return 2.0 ** (n + 2)
+
+
+def require_band(grid: TorusGrid, top: float, what: str) -> None:
+    """Raise ResolutionError unless the grid band reaches |xi| = top."""
     if grid.max_frequency < top:
         raise ResolutionError(
             f"{what} needs frequencies up to {top:g}; the grid band ends at "
             f"{grid.max_frequency:g}")
-    # indicator profiles live on unit-width intervals and need several
-    # lattice points inside each; the wide smooth bump does not
-    if fine and grid.spacing > _MAX_SPACING:
+
+
+def require_spacing(grid: TorusGrid, family: str, what: str) -> None:
+    """Raise ResolutionError unless the lattice resolves the family: the
+    indicator families (phiN, psiN) live on unit-width intervals and need
+    several lattice points inside each; the wide smooth bump does not."""
+    if family != "phiNR" and grid.spacing > _MAX_SPACING:
         raise ResolutionError(
             f"{what} needs lattice spacing <= {_MAX_SPACING}, got "
             f"{grid.spacing:g}")
@@ -146,7 +159,8 @@ def build_phi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
     """Seed with transform N^a on +-[N, N+2]: c_k = phihat(xi_k) / lambda,
     evaluated on the support windows of +-[N, N+2] only."""
     FamilySpec("phiN", n, alpha)
-    _require_band(grid, n + 2.0, "phi_N")
+    require_band(grid, support_top("phiN", n), "phi_N")
+    require_spacing(grid, "phiN", "phi_N")
     return _seed(grid, phi_hat_profile(n, alpha).parts)
 
 
@@ -157,7 +171,8 @@ def build_psi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
     +-[2^j, 2^j+2]; the parts are disjoint for N >= 3, so every mode takes
     the one nonzero term of the dense sum, scaled as there."""
     FamilySpec("psiN", n, alpha)
-    _require_band(grid, 2.0 ** (2 * n) + 2.0, "psi_N")
+    require_band(grid, support_top("psiN", n), "psi_N")
+    require_spacing(grid, "psiN", "psi_N")
     return _seed(grid, psi_hat_profile(n, alpha).parts)
 
 
@@ -168,7 +183,7 @@ def build_phi_NR(n: int, r: float, grid: TorusGrid,
     FamilySpec("phiNR", n, 0.5, r=r)
     if partition.grid != grid:
         raise DimensionError("partition and grid disagree")
-    _require_band(grid, 2.0 ** (n + 2), "phi_NR", fine=False)
+    require_band(grid, support_top("phiNR", n), "phi_NR")
     return _seed(grid, [(2.0**n, 2.0 ** (n + 2),
                          lambda xi: r * phi_profile(xi / 2.0**n))])
 
@@ -215,7 +230,8 @@ def verify_cascade(n: int, alpha: float, t: float, grid: TorusGrid,
     check_alpha(alpha)
     if not 0 < t < 1:
         raise DomainError(f"cascade time must sit in (0, 1), got {t}")
-    _require_band(grid, n + 2.0, "verify_cascade")
+    require_band(grid, support_top("phiN", n), "verify_cascade")
+    require_spacing(grid, "phiN", "verify_cascade")
     profile = phi_hat_profile(n, alpha)
     scan = np.linspace(-0.5, 0.5, 21)
     values = second_iterate_hat(profile, t, scan, alpha, grid)
@@ -256,7 +272,8 @@ def pairing_lower_bound(n: int, alpha: float, t: float,
     check_alpha(alpha)
     if not 0 < t < 1:
         raise DomainError(f"pairing time must sit in (0, 1), got {t}")
-    _require_band(grid, n + 2.0, "pairing_lower_bound")
+    require_band(grid, support_top("phiN", n), "pairing_lower_bound")
+    require_spacing(grid, "phiN", "pairing_lower_bound")
     profile = phi_hat_profile(n, alpha)
     freqs = grid.frequencies
     # the modes |xi_k| <= 1/2, in fft order, found on their windows

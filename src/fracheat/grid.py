@@ -37,6 +37,7 @@ so a march can reuse its buffers; the values do not depend on it.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import field as dataclass_field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -169,8 +170,13 @@ class SpectralField:
     is_real declares that the physical samples are real; construction then
     enforces Hermitian symmetry c_{-k} = conj(c_k) to 1e-12 relative.
     A builder that knows its nonzero modes passes their fft-order slices
-    as _windows (every other mode must be 0); the checks then read those
-    windows only.
+    as _windows (every other mode must be 0). The field keeps them, sorted
+    and with overlaps merged, as its support, and the checks, the Besov
+    block sums and the test-function pairing read those windows only.
+    Without _windows the support is the whole spectrum, the single window
+    [0, M). Every field made from new coefficients (copy_with, the
+    semigroup, the products, to_spectral) declares none, so a support can
+    never outlive the coefficients it was declared for.
     """
 
     grid: TorusGrid
@@ -178,18 +184,22 @@ class SpectralField:
     is_real: bool = True
     _: KW_ONLY
     _windows: InitVar[Optional[tuple]] = None
+    _support: tuple = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self, _windows):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.mode_count,):
+        m = self.grid.mode_count
+        if c.shape != (m,):
             raise DimensionError(
-                f"coefficient array has shape {c.shape}, grid wants ({self.grid.mode_count},)")
-        for sl in (slice(None),) if _windows is None else _windows:
+                f"coefficient array has shape {c.shape}, grid wants ({m},)")
+        support = (slice(0, m),) if _windows is None else _merged(_windows)
+        for sl in support:
             if not np.all(np.isfinite(c[sl].view(np.float64))):
                 raise DomainError("non-finite coefficient")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_support", support)
         if self.is_real:
-            defect = _hermitian_defect(c, _windows)
+            defect = _hermitian_defect(c, support)
             if defect > HERMITIAN_RTOL:
                 raise SymmetryError(
                     f"field declared real but Hermitian defect {defect:.3e} "
@@ -198,6 +208,19 @@ class SpectralField:
     def copy_with(self, coeffs: np.ndarray, is_real: bool | None = None) -> "SpectralField":
         return SpectralField(self.grid, coeffs,
                              self.is_real if is_real is None else is_real)
+
+
+def _merged(windows) -> tuple:
+    # fft-order slices sorted by start, with overlapping ones joined, so
+    # that every mode lies in at most one; empty slices are dropped
+    out = []
+    for sl in sorted((w for w in windows if w.start < w.stop),
+                     key=lambda w: w.start):
+        if out and sl.start <= out[-1].stop:
+            out[-1] = slice(out[-1].start, max(out[-1].stop, sl.stop))
+        else:
+            out.append(slice(sl.start, sl.stop))
+    return tuple(out)
 
 
 def to_spectral(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
@@ -489,10 +512,14 @@ def pair_with_test_function(field: SpectralField,
     """Lattice pairing sum_k c_k ghat(xi_k); returns the real part.
 
     Riemann sum of (1/2pi) int fhat(xi) ghat(xi) dxi = int f g dx for real
-    even test profiles ghat.
+    even test profiles ghat. ghat is elementwise: it is evaluated, and the
+    sum taken, on each window of the field's support in turn.
     """
-    vals = np.asarray(ghat(field.grid.frequencies), dtype=np.complex128)
-    if vals.shape != field.coeffs.shape:
-        raise DimensionError("test profile returned wrong shape")
-    total = np.sum(field.coeffs * vals)
+    xi = field.grid.frequencies
+    total = 0j
+    for sl in field._support:
+        vals = np.asarray(ghat(xi[sl]), dtype=np.complex128)
+        if vals.shape != (sl.stop - sl.start,):
+            raise DimensionError("test profile returned wrong shape")
+        total += np.sum(field.coeffs[sl] * vals)
     return float(total.real)

@@ -22,8 +22,14 @@ from fracheat.dyadic import (
     x_norm,
 )
 from fracheat.errors import DegenerateWindowError, DomainError, ResolutionError
-from fracheat.grid import (SpectralField, TorusGrid, band_half, dealiased_product,
-                           fractional_symbol, hermitian_full, l2_norm)
+from fracheat.families import (FamilySpec, build_family, build_phi_N,
+                               build_psi_N, pairing_lower_bound,
+                               phi_hat_profile)
+from fracheat.grid import (SpectralField, TorusGrid, apply_semigroup, band_half,
+                           dealiased_product, dealiased_square,
+                           fractional_symbol, from_spectral, hermitian_full,
+                           l2_norm, pair_with_test_function, to_spectral)
+from fracheat.picard import second_iterate_hat
 from fracheat.trajectory import Trajectory
 
 from conftest import SEED, raised_within, random_band_field
@@ -147,6 +153,106 @@ def test_besov_norm_memory_stays_below_dense_block_cache():
     print(f"besov_norm peak on 2^18 modes: {peak / 2**20:.1f} MB "
           f"(bound {bound / 2**20:.0f} MB)")
     assert peak < bound
+
+
+# every seed the experiments pass to besov_norm: besov-scaling's phi_N and
+# psi_N and endpoint-cascade's psi_N on (128, 2^19), solve's and
+# dilation-check's phi_8 on (32, 512), phi_N on (64, 2048), and
+# norm-inflation's phi_{N,R} on its grids
+_WINDOWED_SEEDS = (
+    [(128.0, 2 ** 19, "phiN", 2 ** j) for j in range(6, 13)]
+    + [(128.0, 2 ** 19, "psiN", n) for n in range(3, 7)]
+    + [(32.0, 512, "phiN", 8), (32.0, 512, "phiN", 48),
+       (64.0, 2048, "phiN", 12), (64.0, 2048, "phiN", 98)]
+    + [(4.0, 2 ** (n + 4), "phiNR", n) for n in (8, 10, 12)])
+# the (s, q) of besov-scaling (AC3 and AC4 included), endpoint-cascade,
+# solve and dilation-check
+_SEED_NORMS = ((-0.75, 2.0), (-1.0, 2.0), (0.0, 4.0), (-0.75, 4.0),
+               (-0.75, 8.0))
+
+
+def _windowed_seed(lam, m, family, n):
+    g = TorusGrid(lam, m)
+    p = make_partition(g)
+    r = n ** -0.25 * np.log(n) if family == "phiNR" else None
+    alpha = 0.5 if family == "phiNR" else 0.75
+    return build_family(FamilySpec(family, n, alpha, r=r), g, p), p
+
+
+@pytest.mark.parametrize("lam,m,family,n", _WINDOWED_SEEDS)
+def test_seed_norms_on_their_support_match_dense_oracle(lam, m, family, n):
+    u, p = _windowed_seed(lam, m, family, n)
+    assert sum(sl.stop - sl.start for sl in u._support) < m // 2
+    table = _dense_block_table(u.coeffs[None, :], p)[:, 0]
+    for s, q in _SEED_NORMS:
+        want, blocks = _dense_weighted(table, s, q, p)
+        rep = besov_norm(u, s, q, p)
+        assert rep.value == pytest.approx(want, rel=1e-15, abs=0), (s, q)
+        np.testing.assert_allclose(rep.blocks, blocks, rtol=1e-15, atol=0)
+    # the pairing with a smooth test profile reaching every block
+    for j in (0, n.bit_length(), p.j_max):
+        ghat = lambda xi: eta(xi / 2.0**j)
+        dense = float(np.sum(u.coeffs * ghat(u.grid.frequencies)).real)
+        assert pair_with_test_function(u, ghat) == pytest.approx(
+            dense, rel=1e-15, abs=0), j
+
+
+@pytest.mark.parametrize("n", [2 ** 9, 2 ** 12])
+def test_cascade_pairing_on_its_support_matches_dense_oracle(n):
+    # cascade's pairing field lives on |xi| <= 1/2 of 2^17 modes
+    g = TorusGrid(32.0, 2 ** 17)
+    a, t = 0.75, 0.5
+    xi = g.frequencies
+    low = np.flatnonzero(np.abs(xi) <= 0.5)
+    c = np.zeros(g.mode_count, dtype=complex)
+    c[low] = second_iterate_hat(phi_hat_profile(n, a), t, xi[low], a, g) / (
+        4.0 * np.pi * g.period)
+    dense = float(np.sum(c * eta(4.0 * xi)).real)
+    assert pairing_lower_bound(n, a, t, g) == pytest.approx(dense, rel=1e-15,
+                                                            abs=0)
+
+
+def test_seed_besov_norm_memory_stays_near_its_support():
+    # psi_6 on (128, 2^19) sits on 14 windows of about 43 modes; its norm
+    # on a fresh partition builds no 2^19-mode block table
+    g = TorusGrid(128.0, 2 ** 19)
+    u = build_psi_N(6, 0.75, g)
+    tracemalloc.start()
+    try:
+        besov_norm(u, -0.75, 4.0, make_partition(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"psi_6 besov_norm peak on 2^19 modes: {peak / 2**20:.3f} MiB")
+    assert peak < 2 ** 20
+
+
+def test_fields_derived_from_a_seed_carry_no_support():
+    # new coefficients, new support: a mode set off the seed's windows
+    # must count in the norm, so every derived field is dense
+    g = TorusGrid(32.0, 512)
+    p = make_partition(g)
+    u = build_phi_N(8, 0.75, g)
+    whole = (slice(0, g.mode_count),)
+    assert u._support != whole
+    on = np.zeros(g.mode_count, dtype=bool)
+    for sl in u._support:
+        on[sl] = True
+    k = 3
+    assert not on[k] and not on[-k]
+    c = u.coeffs.copy()
+    c[k] = c[-k] = 0.5
+    derived = [u.copy_with(c), apply_semigroup(u, 0.1, 0.75),
+               dealiased_square(u), dealiased_product(u, u),
+               to_spectral(from_spectral(u), g),
+               Trajectory(g, 0.1, u.coeffs[None, :]).field(0)]
+    for v in derived:
+        assert v._support == whole
+        want, _ = _dense_weighted(
+            _dense_block_table(v.coeffs[None, :], p)[:, 0], -0.75, 2.0, p)
+        assert besov_norm(v, -0.75, 2.0, p).value == want
+    assert besov_norm(derived[0], -0.75, 2.0, p).value > besov_norm(
+        u, -0.75, 2.0, p).value
 
 
 def test_partition_block_index_errors():

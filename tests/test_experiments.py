@@ -123,6 +123,20 @@ def test_validate_config_domain_checks():
         validate_config("dilation-check", {"dt": "0.03"})
     with pytest.raises(ConfigError, match="solve.dt: .*stability gate"):
         validate_config("solve", {"dt": "0.5"})
+    # these passed here and failed after the first norms, in the seed
+    # builders, naming no key
+    with pytest.raises(ConfigError, match="besov-scaling.N_max: .*16386"):
+        validate_config("besov-scaling", {"N_max": "14"})
+    with pytest.raises(ConfigError, match="besov-scaling.N_max: psiN"):
+        validate_config("besov-scaling", {"family": "psiN"})
+    with pytest.raises(ConfigError, match="endpoint-cascade.N_max"):
+        validate_config("endpoint-cascade", {"N_max": "8"})
+    with pytest.raises(ConfigError, match="cascade.N_max"):
+        validate_config("cascade", {"N_max": "20"})
+    with pytest.raises(ConfigError, match="cascade.N_max: .*up to inf"):
+        validate_config("cascade", {"N_max": "2000"})  # 2^2000 overflows
+    with pytest.raises(ConfigError, match="besov-scaling.lambda: .*spacing"):
+        validate_config("besov-scaling", {"lambda": "1"})
 
 
 def test_validate_config_budget_gate():
