@@ -38,7 +38,7 @@ from .dyadic import (
     spacetime_besov_norm,
     x_norm,
 )
-from .trajectory import Trajectory, load_trajectory, save_trajectory
+from .trajectory import Trajectory
 from .config import SolveConfig
 from .picard import (
     duhamel_kernel,
@@ -53,11 +53,9 @@ from .evolution import (
     IterationReport,
     dilation_rescale,
     duhamel_integrate,
-    existence_time_estimate,
     fixed_point_solve,
     integral_residual,
     smoothing_constant,
-    weighted_sup_norm,
 )
 from .families import (
     CascadeReport,
@@ -90,13 +88,12 @@ __all__ = [
     "AlgebraReport", "DyadicPartition", "NormReport", "algebra_constant",
     "besov_norm", "eta", "lp_block", "make_partition", "modulation_norm",
     "phi_profile", "sobolev_norm", "spacetime_besov_norm", "x_norm",
-    "Trajectory", "load_trajectory", "save_trajectory",
+    "Trajectory",
     "SolveConfig",
     "duhamel_kernel", "hs_norm_from_hat_scan", "modulation_growth_bound",
     "picard_terms", "second_iterate_hat", "tail_bound", "theta",
     "IterationReport", "dilation_rescale", "duhamel_integrate",
-    "existence_time_estimate", "fixed_point_solve", "integral_residual",
-    "smoothing_constant", "weighted_sup_norm",
+    "fixed_point_solve", "integral_residual", "smoothing_constant",
     "CascadeReport", "FamilySpec", "build_family", "build_phi_N",
     "build_phi_NR", "build_psi_N", "pairing_lower_bound", "phi_hat_profile",
     "psi_hat_profile", "verify_cascade",

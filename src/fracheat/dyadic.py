@@ -12,16 +12,15 @@ fft-order windows TorusGrid.support_windows gives for its support, with
 the values of the elementwise bump there. Off the windows the bump is
 exactly 0, so the block table behind the Besov norms and x_norm sums over
 the windows alone, and multiplier(j) rebuilds the full-length block, bit
-for bit the dense one, on each call without keeping it. Blocks j-1 and j
-share the level eta(xi/2^j); it is evaluated once, where it is neither
-0 nor 1.
+for bit the dense one, on each call without keeping it.
 
 besov_norm reads the field's support (SpectralField keeps the windows a
 seed builder declares, and a dense field has the single window [0, M)):
 it squares |c| on those windows only and sums each block over its
-windows clipped to them. The clipped blocks are evaluated afresh from the
-same levels, clipped alike, so a seed's norm never builds the whole
-table, which the whole window [0, M) reads and a partition keeps.
+windows clipped to them. The clipped blocks are evaluated afresh by the
+same rule, on the clipped windows alone, so a seed's norm never builds
+the whole table, which the whole window [0, M) reads and a partition
+keeps.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ from ._threads import run_two
 from .errors import DegenerateWindowError, DimensionError, DomainError, ResolutionError
 from .grid import SpectralField, TorusGrid, band_half, band_samples, check_alpha
 from .trajectory import Trajectory
-
-
-_ETA_TILE = 2 ** 13  # values per eta call when a partition builds its table
 
 
 def eta(xi) -> np.ndarray:
@@ -80,7 +76,8 @@ class DyadicPartition:
     def _blocks_on(self, window: slice) -> tuple:
         """Every block on one fft-order window, in block_range order: block
         j as ((slice, values), ...) over its support windows clipped to
-        window, each value bit for bit the whole table's at that mode.
+        window, with values phi_profile(xi/2^j) (eta for j = -1) there,
+        each bit for bit the whole table's at that mode.
 
         The whole spectrum [0, M) gives the whole table, built on first use
         and kept; any other window is evaluated afresh, on its modes alone.
@@ -95,40 +92,21 @@ class DyadicPartition:
 
     @cached_property
     def _layout(self) -> tuple:
-        # (levels, blocks): the support windows of each level's glue
-        # 2^L <= |xi| <= 2^{L+1} and of each block, each with the |k|
-        # range its windows span
-        grid = self.grid
-        levels = [grid.support_windows(2.0**level, 2.0 ** (level + 1))
-                  for level in range(self.j_max + 2)]
-        blocks = [grid.support_windows(*((0.0, 2.0) if j == -1 else
-                                         (2.0**j, 2.0 ** (j + 2))))
-                  for j in self.block_range]
-        m = grid.mode_count
-        return tuple([(_reach(w, m), w) for w in ws] for ws in (levels, blocks))
+        # the support windows of each block: |xi| <= 2 for block -1,
+        # 2^j <= |xi| <= 2^{j+2} for block j
+        return tuple(self.grid.support_windows(*((0.0, 2.0) if j == -1 else
+                                                 (2.0**j, 2.0 ** (j + 2))))
+                     for j in self.block_range)
 
     def _clipped(self, window: slice) -> tuple:
-        # Block j >= 0 is eta(xi/2^{j+1}) - eta(xi/2^j), as phi_profile
-        # forms it (xi/2^j/2 == xi/2^{j+1} exactly), and block -1 is eta.
-        # Level L, eta(xi/2^L), is exactly 1 for |xi| <= 2^L and 0 for
-        # |xi| >= 2^{L+1}, so it is evaluated once, on the windows of its
-        # glue, which lie inside the windows of both blocks that read it;
-        # clipping both to one window keeps that nesting. eta is
-        # elementwise, so a clipped value is the unclipped one. A level or
-        # block whose |k| range misses the window's has no mode in it.
+        # Block j >= 0 is phi_profile(xi/2^j) and block -1 is eta, each
+        # evaluated on its support windows clipped to window. Both are
+        # elementwise, so a clipped value is the unclipped one.
         xi = self.grid.frequencies
-        lo, hi = _reach((window,), self.grid.mode_count)
-        levels, blocks = self._layout
-        glue = {}
-        for level, ((k_lo, k_hi), windows) in enumerate(levels):
-            if k_lo <= hi and lo <= k_hi:
-                glue[level] = tuple((sl, _tiled_eta(xi[sl] / 2.0**level))
-                                    for sl in _clip(windows, window))
         return tuple(
-            () if k_lo > hi or lo > k_hi else
-            tuple((sl, _block_values(sl, glue.get(j + 1, ()), glue.get(j, ())))
+            tuple((sl, eta(xi[sl]) if j == -1 else phi_profile(xi[sl] / 2.0**j))
                   for sl in _clip(windows, window))
-            for j, ((k_lo, k_hi), windows) in zip(self.block_range, blocks))
+            for j, windows in zip(self.block_range, self._layout))
 
     def multiplier(self, j: int) -> np.ndarray:
         """Block j on the whole grid, fft order; a fresh array per call."""
@@ -142,57 +120,12 @@ class DyadicPartition:
         return range(-1, self.j_max + 1)
 
 
-def _reach(windows: tuple, m: int) -> tuple:
-    # (least, largest) |k| over the modes of fft-order slices; (1, 0) for
-    # none. Modes k >= 0 sit at index k, modes k < 0 at index M + k.
-    ks = []
-    for sl in windows:
-        a, b = sl.start, sl.stop
-        if a < min(b, m // 2):
-            ks += [a, min(b, m // 2) - 1]
-        if max(a, m // 2) < b:
-            ks += [m - b + 1, m - max(a, m // 2)]
-    return (min(ks), max(ks)) if ks else (1, 0)
-
-
 def _clip(windows: tuple, window: slice):
     # the nonempty intersections of fft-order slices with one window
     for sl in windows:
         a, b = max(sl.start, window.start), min(sl.stop, window.stop)
         if a < b:
             yield slice(a, b)
-
-
-def _tiled_eta(x: np.ndarray) -> np.ndarray:
-    # eta(x), _ETA_TILE values at a time: eta makes about a dozen
-    # temporaries, and at 64 KiB each the allocator reuses them from its
-    # heap, where at the largest glue windows' 0.8 MB it maps each one
-    # afresh and faults in every page. Measured at 2^19 modes in a fresh
-    # process: one table build took 9,000 page faults untiled and 3,400
-    # tiled, 2,048 of them the blocks' own pages.
-    out = np.empty_like(x)
-    for a in range(0, x.size, _ETA_TILE):
-        out[a:a + _ETA_TILE] = eta(x[a:a + _ETA_TILE])
-    return out
-
-
-def _block_values(sl: slice, upper: tuple, lower: tuple) -> np.ndarray:
-    # upper - lower on block window sl, from the two levels' glue values:
-    # off its glue windows upper is 1 and lower is 0
-    out = np.ones(sl.stop - sl.start)
-    for part, vals in _inside(sl, upper):
-        out[part] = vals
-    for part, vals in _inside(sl, lower):
-        out[part] -= vals
-    return out
-
-
-def _inside(sl: slice, glue: tuple):
-    # the glue windows on sl's side of the fft order (each lies inside sl),
-    # as slices of sl
-    for window, vals in glue:
-        if sl.start <= window.start and window.stop <= sl.stop:
-            yield slice(window.start - sl.start, window.stop - sl.start), vals
 
 
 def make_partition(grid: TorusGrid) -> DyadicPartition:
@@ -217,18 +150,6 @@ class NormReport:
     alpha: float | None
     value: float
     blocks: tuple
-
-    def to_csv_row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return ""
-            if v == np.inf:
-                return "inf"
-            return f"{v:.17g}"
-        cells = [self.norm_kind, fmt(self.s), fmt(self.q), fmt(self.alpha),
-                 fmt(self.value)]
-        cells.extend(fmt(b) for b in self.blocks)
-        return ",".join(cells)
 
 
 def _check_q(q: float) -> float:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolveConfig
-from .dyadic import DyadicPartition, make_partition, sobolev_norm, x_norm
+from .dyadic import make_partition, x_norm
 from .errors import DimensionError, DomainError, ResolutionError
 from .grid import (SpectralField, TorusGrid, check_alpha,
                    dealiased_product_coeffs, fractional_symbol)
@@ -37,9 +37,7 @@ __all__ = [
     "duhamel_integrate",
     "fixed_point_solve",
     "integral_residual",
-    "weighted_sup_norm",
     "smoothing_constant",
-    "existence_time_estimate",
     "dilation_rescale",
 ]
 
@@ -167,25 +165,6 @@ def integral_residual(traj: Trajectory, u0: SpectralField,
     return float(np.max(node_l2))
 
 
-def weighted_sup_norm(traj: Trajectory, s0: float, s: float,
-                      alpha: float) -> float:
-    """sup over nodes t > 0 of t^{(s0-s)/(2a)} ||u(t)||_{H^{s0}}.
-
-    The t = 0 node carries a vanishing or singular weight and is excluded.
-    """
-    check_alpha(alpha)
-    if not s0 > s:
-        raise DomainError(f"need s0 > s, got s0={s0}, s={s}")
-    if traj.n_nodes < 2:
-        raise DomainError("weighted sup norm needs at least one node with t > 0")
-    w = (s0 - s) / (2.0 * alpha)
-    best = 0.0
-    for i in range(1, traj.n_nodes):
-        t = traj.dt * i
-        best = max(best, t**w * sobolev_norm(traj.field(i), s0))
-    return best
-
-
 _PROBE_GRID = (64.0, 8192)
 
 
@@ -212,40 +191,6 @@ def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
     gain = (np.exp(-t * fractional_symbol(grid, alpha)[ks])
             * (1.0 + xi**2) ** ((s2 - s1) / 2.0))
     return float(weight * gain.max())
-
-
-_REGIMES = ("subcritical", "critical", "s-half")
-
-
-def existence_time_estimate(u0_norm: float, alpha: float, s: float,
-                            regime: str) -> float:
-    """Guaranteed-existence-time power law, unit prefactor.
-
-    regimes: "subcritical" gives (1 + N)^{-4a/(2a-1)} for the B^{-a,2} theory
-    (a > 1/2); "critical" gives N^{-2a/(s-(1/2-2a))} for s above the scaling
-    line; "s-half" gives N^{-4/3} at s = 1/2. Only the exponents carry
-    content; prefactors are a reporting convention.
-    """
-    check_alpha(alpha)
-    if u0_norm < 0:
-        raise DomainError(f"norm must be nonnegative, got {u0_norm}")
-    if regime == "subcritical":
-        if not alpha > 0.5:
-            raise DomainError(f"subcritical regime needs alpha > 1/2, got {alpha}")
-        return float((1.0 + u0_norm) ** (-4.0 * alpha / (2.0 * alpha - 1.0)))
-    if regime == "critical":
-        gap = s - (0.5 - 2.0 * alpha)
-        if not gap > 0:
-            raise DomainError(
-                f"critical regime needs s > 1/2 - 2 alpha, got s={s}, alpha={alpha}")
-        if u0_norm == 0:
-            raise DomainError("critical power law needs a positive norm")
-        return float(u0_norm ** (-2.0 * alpha / gap))
-    if regime == "s-half":
-        if u0_norm == 0:
-            raise DomainError("s-half power law needs a positive norm")
-        return float(u0_norm ** (-4.0 / 3.0))
-    raise DomainError(f"unknown regime {regime!r}; expected one of {_REGIMES}")
 
 
 def dilation_rescale(traj: Trajectory, lam_d: float, alpha: float) -> Trajectory:

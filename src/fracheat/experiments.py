@@ -192,46 +192,58 @@ def _check_domains(name: str, cfg: Dict[str, object]) -> None:
         bad("family", f"unknown family {cfg['family']!r}")
     if "norm" in cfg and cfg["norm"] < 0.0:
         bad("norm", f"target norm must be >= 0, got {cfg['norm']}")
-    seed = _largest_seed(name, cfg)
-    if seed is not None:
-        # the family builders' own rules, on this experiment's grid: the
-        # spacing does not depend on N, the band does
-        family, key, top = seed
+    seeds = _seeds(name, cfg)
+    if seeds is not None:
+        # the family builders' own rules, on this experiment's grid:
+        # FamilySpec's on the smallest seed, the band on the largest; the
+        # spacing does not depend on N
+        family, dyadic, key = seeds
+        n_min, n_top = (2 ** cfg[k] if dyadic else cfg[k]
+                        for k in ("N_min", key))
+        try:
+            FamilySpec(family, n_min, cfg["alpha"],
+                       r=_DATUM_R if family == "phiNR" else None)
+        except DomainError as exc:
+            bad("N_min", str(exc))
         grid = TorusGrid(cfg["lambda"], cfg["modes"])
         try:
             require_spacing(grid, family, family)
         except ResolutionError as exc:
             bad("lambda", str(exc))
         try:
+            top = support_top(family, n_top)
+        except OverflowError:  # past the float range, so past any band
+            top = math.inf
+        try:
             require_band(grid, top, family)
         except ResolutionError as exc:
             bad(key, str(exc))
-    if name == "norm-inflation" and 2 ** (cfg["N_max"] + 4) > BUDGET_MODES:
-        # fail before any grid of that size is allocated
-        raise BudgetError(
-            f"{name}.N_max: the schedule needs 2^{cfg['N_max'] + 4} modes, "
-            f"over the desk budget {BUDGET_MODES}")
+    if name == "norm-inflation":
+        n = cfg["N_min"]
+        try:
+            FamilySpec("phiNR", n, cfg["alpha"], r=_bump_radius(n))
+        except DomainError as exc:
+            bad("N_min", str(exc))
+        if 2 ** (cfg["N_max"] + 4) > BUDGET_MODES:
+            # fail before any grid of that size is allocated
+            raise BudgetError(
+                f"{name}.N_max: the schedule needs 2^{cfg['N_max'] + 4} "
+                f"modes, over the desk budget {BUDGET_MODES}")
 
 
-def _largest_seed(name: str, cfg: Dict[str, object]):
-    """(family, config key, top |xi|) of the largest seed an experiment
-    builds on its own grid, or None if it builds none."""
-    dyadic = False  # the family index is 2^N, not N
+def _seeds(name: str, cfg: Dict[str, object]):
+    """(family, dyadic, key) of the seeds an experiment builds on its own
+    grid, family members N_min up to cfg[key], or None if it builds none.
+    dyadic: the family index is 2^N, not N."""
     if name in ("solve", "dilation-check"):
-        family, key = cfg["family"], "N_min"
-    elif name == "endpoint-cascade" or (name == "besov-scaling"
-                                        and cfg["family"] == "psiN"):
-        family, key = "psiN", "N_max"
-    elif name == "cascade" or (name == "besov-scaling"
-                               and cfg["family"] == "phiN"):
-        family, key, dyadic = "phiN", "N_max", True
-    else:
-        return None  # besov-scaling's run refuses phiNR, naming the family
-    try:
-        n = 2.0 ** cfg[key] if dyadic else cfg[key]
-        return family, key, support_top(family, n)
-    except OverflowError:  # past the float range, so past any band
-        return family, key, math.inf
+        return cfg["family"], False, "N_min"
+    if name == "endpoint-cascade" or (name == "besov-scaling"
+                                      and cfg["family"] == "psiN"):
+        return "psiN", False, "N_max"
+    if name == "cascade" or (name == "besov-scaling"
+                             and cfg["family"] == "phiN"):
+        return "phiN", True, "N_max"
+    return None  # besov-scaling's run refuses phiNR, naming the family
 
 
 def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
@@ -326,8 +338,12 @@ def _run_smoothing(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
+# R of the phi_{N,R} datum that solve and dilation-check build
+_DATUM_R = 1.0
+
+
 def _family_datum(cfg, grid: TorusGrid, part) -> SpectralField:
-    r = 1.0 if cfg["family"] == "phiNR" else None
+    r = _DATUM_R if cfg["family"] == "phiNR" else None
     u0 = build_family(FamilySpec(cfg["family"], cfg["N_min"], cfg["alpha"],
                                  r=r), grid, part)
     target = cfg["norm"]
@@ -470,6 +486,11 @@ def _run_endpoint_cascade(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
+def _bump_radius(n: int) -> float:
+    """R = N^{-1/4} ln N of norm-inflation's phi_{N,R} datum."""
+    return n ** -0.25 * math.log(n)
+
+
 def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
     """The calibrated small-data/short-time schedule at alpha = 1/2.
 
@@ -488,7 +509,7 @@ def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
         part = make_partition(g)
         alg = algebra_constant(g, n, seed=cfg["seed"])
         c0 = alg.c0
-        r = n ** -0.25 * math.log(n)
+        r = _bump_radius(n)
         t_n = 1.0 / (8.0 * c0 * 2.0 ** n)
         steps = 64
         # keep dt under the exponential-trapezoid stability gate

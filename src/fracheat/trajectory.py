@@ -1,18 +1,13 @@
-"""Uniform-step trajectories of spectral fields, with binary/text serialization."""
+"""Uniform-step trajectories of spectral fields."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grid import SpectralField, TorusGrid
-
-_MAGIC = b"FRACHEAT"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -41,73 +36,9 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_nodes)
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * (self.n_nodes - 1)
-
     def field(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[i].copy(), is_real=self.is_real)
 
     def final_field(self) -> SpectralField:
         return self.field(self.n_nodes - 1)
 
-
-def save_trajectory(traj: Trajectory, path, fmt: str = "binary") -> None:
-    p = Path(path)
-    if fmt == "binary":
-        with open(p, "wb") as fh:
-            fh.write(_MAGIC)
-            head = np.array([_VERSION, int(traj.is_real)], dtype="<i8")
-            fh.write(head.tobytes())
-            meta = np.array([traj.grid.period, traj.dt], dtype="<f8")
-            fh.write(meta.tobytes())
-            dims = np.array([traj.grid.mode_count, traj.n_nodes], dtype="<i8")
-            fh.write(dims.tobytes())
-            flat = np.empty(traj.coeffs.size * 2, dtype="<f8")
-            flat[0::2] = traj.coeffs.real.ravel()
-            flat[1::2] = traj.coeffs.imag.ravel()
-            fh.write(flat.tobytes())
-    elif fmt == "text":
-        with open(p, "w") as fh:
-            fh.write(f"fracheat-trajectory v{_VERSION} lambda={traj.grid.period!r} "
-                     f"M={traj.grid.mode_count} dt={traj.dt!r} n={traj.n_nodes} "
-                     f"real={int(traj.is_real)}\n")
-            for row in traj.coeffs:
-                parts = [f"{float(z.real)!r} {float(z.imag)!r}" for z in row]
-                fh.write(" ".join(parts) + "\n")
-    else:
-        raise DomainError(f"unknown trajectory format {fmt!r}")
-
-
-def load_trajectory(path) -> Trajectory:
-    p = Path(path)
-    with open(p, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-    if magic == _MAGIC:
-        with open(p, "rb") as fh:
-            fh.seek(len(_MAGIC))
-            version, is_real = np.frombuffer(fh.read(16), dtype="<i8")
-            if version != _VERSION:
-                raise DomainError(f"unsupported trajectory version {version}")
-            period, dt = np.frombuffer(fh.read(16), dtype="<f8")
-            m, n = np.frombuffer(fh.read(16), dtype="<i8")
-            flat = np.frombuffer(fh.read(), dtype="<f8")
-            if flat.size != 2 * m * n:
-                raise DimensionError("trajectory payload truncated")
-            coeffs = (flat[0::2] + 1j * flat[1::2]).reshape(int(n), int(m))
-            return Trajectory(TorusGrid(float(period), int(m)), float(dt),
-                              coeffs, bool(is_real))
-    # fall through to the text format
-    with open(p, "r") as fh:
-        header = fh.readline().split()
-        if not header or not header[0] == "fracheat-trajectory":
-            raise DomainError(f"{p} is not a fracheat trajectory")
-        kv = dict(tok.split("=", 1) for tok in header[2:])
-        m = int(kv["M"])
-        n = int(kv["n"])
-        coeffs = np.empty((n, m), dtype=np.complex128)
-        for i in range(n):
-            vals = np.loadtxt(io.StringIO(fh.readline()), dtype=float)
-            coeffs[i] = vals[0::2] + 1j * vals[1::2]
-        return Trajectory(TorusGrid(float(kv["lambda"]), m), float(kv["dt"]),
-                          coeffs, bool(int(kv["real"])))

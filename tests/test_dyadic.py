@@ -9,7 +9,6 @@ import pytest
 from fracheat import dyadic
 from fracheat.dyadic import (
     AlgebraReport,
-    NormReport,
     algebra_constant,
     besov_norm,
     eta,
@@ -564,8 +563,3 @@ def test_algebra_constant_window_errors():
     with pytest.raises(DegenerateWindowError):
         algebra_constant(g, 7, n_pairs=1)
 
-
-def test_norm_report_csv_row():
-    rep = NormReport("besov", -0.5, np.inf, None, 1.25, (0.5, 0.75))
-    row = rep.to_csv_row()
-    assert row == "besov,-0.5,inf,,1.25,0.5,0.75"

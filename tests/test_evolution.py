@@ -3,20 +3,18 @@ import pytest
 
 from fracheat.config import SolveConfig
 from fracheat.dyadic import besov_norm, make_partition, sobolev_norm
-from fracheat.errors import DimensionError, DomainError, ResolutionError
+from fracheat.errors import DomainError, ResolutionError
 from fracheat.evolution import (
     dilation_rescale,
     duhamel_integrate,
-    existence_time_estimate,
     fixed_point_solve,
     integral_residual,
     smoothing_constant,
     trapezoid_step,
-    weighted_sup_norm,
 )
 from fracheat.grid import SpectralField, TorusGrid, dealiased_product_coeffs
 from fracheat.picard import picard_terms
-from fracheat.trajectory import Trajectory, load_trajectory, save_trajectory
+from fracheat.trajectory import Trajectory
 
 from conftest import SEED, random_band_field
 
@@ -27,27 +25,6 @@ def free_trajectory(u0: SpectralField, alpha: float, dt: float,
     ts = dt * np.arange(n_steps + 1)
     rows = u0.coeffs[None, :] * np.exp(-np.outer(ts, sym))
     return Trajectory(u0.grid, dt, rows, is_real=u0.is_real)
-
-
-def test_trajectory_roundtrip(tmp_path):
-    rng = np.random.default_rng(SEED)
-    g = TorusGrid(8.0, 32)
-    u0 = random_band_field(g, 9, rng)
-    traj = free_trajectory(u0, 0.6, 0.05, 7)
-    for fmt in ("binary", "text"):
-        p = tmp_path / f"t.{fmt}"
-        save_trajectory(traj, p, fmt=fmt)
-        back = load_trajectory(p)
-        assert back.grid == traj.grid
-        assert back.dt == traj.dt
-        assert back.is_real == traj.is_real
-        assert np.array_equal(back.coeffs, traj.coeffs)  # repr floats roundtrip
-    # truncated binary payload is refused
-    p = tmp_path / "t.binary"
-    raw = p.read_bytes()
-    p.write_bytes(raw[:-16])
-    with pytest.raises(DimensionError):
-        load_trajectory(p)
 
 
 def test_duhamel_zero_and_constant_sources():
@@ -225,48 +202,6 @@ def test_product_inequality_constant():
         assert ratios[128] <= bound
 
 
-def test_weighted_sup_norm_basics():
-    g = TorusGrid(16.0, 128)
-    zero = Trajectory(g, 0.1, np.zeros((4, 128), dtype=complex))
-    assert weighted_sup_norm(zero, 0.25, 0.1, 0.75) == 0.0
-    rng = np.random.default_rng(SEED)
-    u0 = random_band_field(g, 20, rng)
-    traj = free_trajectory(u0, 0.75, 1 / 64, 32)
-    base = weighted_sup_norm(traj, 0.25, 0.1, 0.75)
-    five = Trajectory(g, traj.dt, 5.0 * traj.coeffs)
-    assert weighted_sup_norm(five, 0.25, 0.1, 0.75) == pytest.approx(5 * base,
-                                                                     rel=1e-12)
-    with pytest.raises(DomainError):
-        weighted_sup_norm(traj, 0.1, 0.25, 0.75)  # s0 <= s
-    single = Trajectory(g, 0.0, np.zeros((1, 128), dtype=complex))
-    with pytest.raises(DomainError):
-        weighted_sup_norm(single, 0.25, 0.1, 0.75)
-
-
-def test_weighted_sup_bounded_by_smoothing():
-    # free flow from 20 random data: the weighted sup norm stays below the
-    # per-time analytic smoothing envelope times ||u0||_{H^s}
-    s, s0, alpha = 0.1, 0.25, 0.75
-    g = TorusGrid(16.0, 256)
-    dt, n = 1 / 128, 64
-    w = (s0 - s) / (2 * alpha)
-    ts = dt * np.arange(1, n + 1)
-    xi = np.geomspace(1e-3, 1e4, 20_000)
-    env = 0.0
-    for t in ts:
-        vals = (1 + xi**2) ** ((s0 - s) / 2) * np.exp(-t * xi ** (2 * alpha))
-        env = max(env, t**w * max(1.0, vals.max()))  # xi = 0 gives 1
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(20):
-        u0 = random_band_field(g, 60, rng)
-        traj = free_trajectory(u0, alpha, dt, n)
-        ratio = weighted_sup_norm(traj, s0, s, alpha) / sobolev_norm(u0, s)
-        worst = max(worst, ratio)
-        assert ratio <= env * (1 + 1e-9)
-    print(f"weighted-sup family constant: {worst:.4f} (envelope {env:.4f})")
-
-
 def test_smoothing_constant_oracle():
     grid = TorusGrid(64.0, 8192)
     t, alpha = 1e-2, 1.0
@@ -292,26 +227,6 @@ def test_smoothing_constant_stable_in_t():
     mean = np.mean(vals)
     print("smoothing constants:", [round(v, 4) for v in vals])
     assert all(abs(v - mean) <= 0.1 * mean for v in vals)
-
-
-def test_existence_time_exponents():
-    # alpha = 1 subcritical: exponent -4
-    assert existence_time_estimate(1.0, 1.0, 0.0, "subcritical") == \
-        pytest.approx(2.0**-4)
-    assert existence_time_estimate(0.0, 0.8, 0.0, "subcritical") == 1.0
-    # alpha = 1/2, s = 0: exponent -2 (1/2 - 2 alpha = -1/2)
-    assert existence_time_estimate(3.0, 0.5, 0.0, "critical") == \
-        pytest.approx(3.0**-2)
-    # s = 1/2 case: exponent -4/3 independent of alpha
-    for alpha in (0.6, 0.9):
-        assert existence_time_estimate(8.0, alpha, 0.5, "s-half") == \
-            pytest.approx(8.0 ** (-4.0 / 3.0))
-    with pytest.raises(DomainError):
-        existence_time_estimate(1.0, 0.5, 0.0, "subcritical")  # needs a > 1/2
-    with pytest.raises(DomainError):
-        existence_time_estimate(1.0, 0.5, -0.5, "critical")  # s at the line
-    with pytest.raises(DomainError):
-        existence_time_estimate(1.0, 0.75, 0.0, "no-such-regime")
 
 
 def annulus_datum(g: TorusGrid, rng) -> SpectralField:

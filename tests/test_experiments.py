@@ -137,6 +137,18 @@ def test_validate_config_domain_checks():
         validate_config("cascade", {"N_max": "2000"})  # 2^2000 overflows
     with pytest.raises(ConfigError, match="besov-scaling.lambda: .*spacing"):
         validate_config("besov-scaling", {"lambda": "1"})
+    # these passed here and failed in FamilySpec, naming no key
+    with pytest.raises(ConfigError, match="endpoint-cascade.N_min: psiN"):
+        validate_config("endpoint-cascade", {"N_min": "2"})
+    with pytest.raises(ConfigError, match="solve.N_min: psiN"):
+        validate_config("solve", {"family": "psiN", "N_min": "2"})
+    with pytest.raises(ConfigError, match="dilation-check.N_min: psiN"):
+        validate_config("dilation-check", {"family": "psiN", "N_min": "2"})
+    with pytest.raises(ConfigError, match="besov-scaling.N_min: psiN"):
+        validate_config("besov-scaling",
+                        {"family": "psiN", "N_min": "2", "N_max": "4"})
+    with pytest.raises(ConfigError, match="norm-inflation.N_min: phiNR"):
+        validate_config("norm-inflation", {"N_min": "1"})
 
 
 def test_validate_config_budget_gate():
