@@ -517,8 +517,8 @@ def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
             steps *= 2
         u0 = build_phi_NR(n, r, g, part)
         conf = SolveConfig(alpha=cfg["alpha"], sign=1, T=t_n, dt=t_n / steps)
-        terms = picard_terms(u0, k_terms, conf, store_stride=steps)
-        ends = [sobolev_norm(term.final_field(), -0.5) for term in terms]
+        ends = picard_terms(u0, k_terms, conf, store_stride=steps,
+                            final=lambda f: sobolev_norm(f, -0.5))
         tail = float(sum(ends[2:]))
         c0s.append(c0)
         rs.append(r)

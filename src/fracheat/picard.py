@@ -16,7 +16,7 @@ pure bookkeeping and the dual-route tests exercise the time quadrature only.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List
+from typing import Callable, List, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .evolution import trapezoid_step
 from .grid import (SpectralField, TorusGrid, check_alpha, field_basis,
                    fractional_symbol)
 from .trajectory import Trajectory
+
+R = TypeVar("R")
 
 
 def theta(xi, xi1, alpha: float):
@@ -113,7 +115,9 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
 
 
 def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
-                 store_stride: int = 1) -> List[Trajectory]:
+                 store_stride: int = 1, *,
+                 final: Optional[Callable[[SpectralField], R]] = None
+                 ) -> Union[List[Trajectory], List[R]]:
     """First n_terms Taylor trajectories A_1..A_k of the flow from `seed`.
 
     Exponential-trapezoid time stepping on the shared Duhamel structure;
@@ -137,6 +141,13 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     call, and each term's arithmetic is that of a one-thread march, so the
     values do not depend on the schedule. An error in either stage breaks
     the barrier and is raised here after both have stopped.
+
+    With `final`, nothing is stored and the list of final(A_k(T)) for
+    k = 1..n_terms is returned instead. After both stages have stopped,
+    this thread widens each term's last node in turn into one reused
+    full-spectrum buffer and calls final on it, so final may be a traced
+    layer. The field is valid during its call only: the next term
+    overwrites its coefficients. store_stride is still checked.
     """
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
@@ -152,12 +163,15 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     half = 0.5 * config.dt * float(config.sign)
     basis = field_basis(grid, seed.is_real, seed.coeffs)
     # terms k >= 2 are dealiased sources, carried in the basis and widened
-    # only when stored
+    # only when stored or read
     band_decay = decay[:basis.width]
 
-    n_stored = n // store_stride + 1
-    stored = [np.zeros((n_stored, m), dtype=complex) for _ in range(n_terms)]
-    stored[0][0] = seed.coeffs
+    stored = []
+    if final is None:
+        n_stored = n // store_stride + 1
+        stored = [np.zeros((n_stored, m), dtype=complex)
+                  for _ in range(n_terms)]
+        stored[0][0] = seed.coeffs
     a1 = seed.coeffs.copy()
     a1_band = basis.band(a1)
 
@@ -167,13 +181,15 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     def sample_buffer():
         return np.zeros(basis.n_samples, dtype=basis.sample_dtype)
 
+    # A_k's coefficients, k >= 2; each is written by its own stage only
+    coeff = {k: coeff_buffer() for k in range(2, n_terms + 1)}
+
     def stage(terms, leads):
         """Step function of the terms k >= 2 in `terms`, on their own
         buffers, and of A_1 if `leads`; phys[j] holds A_j's samples at the
         step being made."""
         acc, tmp = sample_buffer(), sample_buffer()
         work = basis.workspace()
-        coeff = {k: coeff_buffer() for k in terms}
         fprev = {k: coeff_buffer() for k in terms}
         spare, bracket = coeff_buffer(), coeff_buffer()
 
@@ -210,7 +226,7 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                 fprev[k], spare = fnext, fprev[k]
                 if k < n_terms:
                     basis.samples(coeff[k], out=phys[k], work=work)
-            if i % store_stride == 0:
+            if stored and i % store_stride == 0:
                 row = i // store_stride
                 if leads:
                     stored[0][row] = a1
@@ -243,9 +259,16 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     run_two(lambda: march(lead, 0, slots),
             lambda: march(trail, 1, [slot + own for slot in slots]),
             barrier.abort, "march")
-    out_dt = config.dt * store_stride
-    return [Trajectory(grid, out_dt, arr, is_real=seed.is_real)
-            for arr in stored]
+    if final is None:
+        out_dt = config.dt * store_stride
+        return [Trajectory(grid, out_dt, arr, is_real=seed.is_real)
+                for arr in stored]
+    # A_1's buffer is the reused one: each later term is widened over it
+    results = [final(SpectralField(grid, a1, is_real=seed.is_real))]
+    for k in range(2, n_terms + 1):
+        basis.widen(coeff[k], out=a1)
+        results.append(final(SpectralField(grid, a1, is_real=seed.is_real)))
+    return results
 
 
 def tail_bound(k: int, n_freq: int, r: float, t: float, c0: float) -> float:

@@ -9,9 +9,11 @@ import pytest
 from fracheat import grid, picard
 
 from fracheat.config import SolveConfig
-from fracheat.dyadic import algebra_constant, modulation_norm, phi_profile, sobolev_norm
+from fracheat.dyadic import (algebra_constant, make_partition, modulation_norm,
+                             phi_profile, sobolev_norm)
 from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate, trapezoid_step
+from fracheat.families import build_phi_NR
 from fracheat.grid import (SpectralField, TorusGrid, _exactly_even,
                            _hermitian_defect, dealiased_product,
                            dealiased_square, field_basis, fractional_symbol,
@@ -454,6 +456,87 @@ def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
     exc = raised_within(lambda: picard_terms(seed, 6, cfg))
     assert isinstance(exc, RuntimeError)
     assert str(exc) == f"injected {name} failure"
+    assert not any(t.name == "fracheat-march" for t in threading.enumerate())
+
+
+# 16 is the step count, so that stride keeps the endpoints only
+@pytest.mark.parametrize("store_stride", [1, 16])
+@pytest.mark.parametrize("n_terms", [1, 2, 12])
+@pytest.mark.parametrize("is_real", [True, False, "even"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_picard_terms_final_route_equals_trajectory_route(sign, is_real,
+                                                          n_terms,
+                                                          store_stride):
+    # final= sees each term's last node as final_field() gives it: the
+    # full-band A_1 first, then every later term widened over the same
+    # buffer, in all three bases (the cosine basis's self-mirrored modes
+    # included)
+    seed = _full_band_seed(is_real)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
+    assert cfg.n_steps == 16
+    terms = picard_terms(seed, n_terms, cfg, store_stride)
+    norms = picard_terms(seed, n_terms, cfg, store_stride,
+                         final=lambda u: sobolev_norm(u, -0.5))
+    assert norms == [sobolev_norm(t.final_field(), -0.5) for t in terms]
+    ends = picard_terms(seed, n_terms, cfg, store_stride,
+                        final=lambda u: u.coeffs.copy())
+    assert len(ends) == n_terms
+    for end, term in zip(ends, terms):
+        np.testing.assert_array_equal(end, term.final_field().coeffs)
+
+
+def test_picard_terms_final_route_stores_no_rows():
+    # norm-inflation's march at N = 10: M = 2^14, 64 steps, 12 terms. The
+    # Trajectory route at stride 64 keeps 12 x 2 complex rows of M modes
+    # (6.3 MB, the bound) on top of the march's own buffers, which are all
+    # the final route holds
+    n = 10
+    g = TorusGrid(4.0, 2 ** (n + 4))
+    u0 = build_phi_NR(n, n ** -0.25 * np.log(n), g, make_partition(g))
+    t_n = 1.0 / (8.0 * algebra_constant(g, n, seed=SEED).c0 * 2.0 ** n)
+    cfg = SolveConfig(alpha=0.5, sign=1, T=t_n, dt=t_n / 64)
+    rows = 12 * 2 * g.mode_count * 16
+
+    def peak(**final):
+        tracemalloc.start()
+        try:
+            picard_terms(u0, 12, cfg, 64, **final)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    final_peak = peak(final=lambda u: sobolev_norm(u, -0.5))
+    stored_peak = peak()
+    print(f"march peak at M = 2^14: final route {final_peak / 2**20:.2f} MiB, "
+          f"Trajectory route {stored_peak / 2**20:.2f} MiB")
+    assert final_peak < rows < stored_peak
+
+
+def test_picard_terms_final_runs_on_the_calling_thread():
+    # final may be a traced layer, which the march worker must never enter
+    seed = _full_band_seed(True)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    seen = []
+    picard_terms(seed, 6, cfg,
+                 final=lambda u: seen.append(threading.current_thread()))
+    assert seen == [threading.current_thread()] * 6
+
+
+@pytest.mark.parametrize("at", [1, 6])
+def test_picard_terms_final_error_reaches_caller(at):
+    seed = _full_band_seed("even")
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    calls = [0]
+
+    def final(u):
+        calls[0] += 1
+        if calls[0] == at:
+            raise RuntimeError("injected final failure")
+
+    exc = raised_within(lambda: picard_terms(seed, 6, cfg, final=final))
+    assert isinstance(exc, RuntimeError)
+    assert str(exc) == "injected final failure"
+    assert calls[0] == at
     assert not any(t.name == "fracheat-march" for t in threading.enumerate())
 
 
