@@ -166,10 +166,11 @@ def integral_residual(traj: Trajectory, u0: SpectralField,
 
 
 _PROBE_GRID = (64.0, 8192)
+_PROBE_MODES = 400  # log-spaced lattice modes smoothing_constant scans
 
 
 def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
-                       grid: TorusGrid = None, n_probe: int = 400) -> float:
+                       grid: TorusGrid = None) -> float:
     """Empirical constant in ||S(t)f||_{H^{s2}} <= C t^{-(s2-s1)/(2a)} ||f||_{H^{s1}}.
 
     Probes single-mode fields on a log-spaced scan of lattice modes and
@@ -184,7 +185,7 @@ def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
     if grid is None:
         grid = TorusGrid(*_PROBE_GRID)
     k_max = grid.mode_count // 2 - 1
-    ks = np.unique(np.rint(np.geomspace(1, k_max, n_probe)).astype(int))
+    ks = np.unique(np.rint(np.geomspace(1, k_max, _PROBE_MODES)).astype(int))
     ks = np.concatenate([[0], ks])
     weight = t ** ((s2 - s1) / (2.0 * alpha))
     xi = grid.frequencies[ks]

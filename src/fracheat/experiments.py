@@ -147,6 +147,12 @@ def parse_config_file(path) -> Dict[str, str]:
     return out
 
 
+# (least count, step) of the N values whose verdicts compare several N:
+# an exponent fit needs 3 points, a trend 2; norm-inflation steps N by 2
+_LEAST_N = {"besov-scaling": (3, 1), "wellposed-scaling": (3, 1),
+            "endpoint-cascade": (2, 1), "norm-inflation": (2, 2)}
+
+
 def _check_domains(name: str, cfg: Dict[str, object]) -> None:
     def bad(key, msg):
         raise ConfigError(f"{name}.{key}: {msg}")
@@ -182,6 +188,13 @@ def _check_domains(name: str, cfg: Dict[str, object]) -> None:
     if "N_max" in cfg and "N_min" in cfg and cfg["N_max"] < cfg["N_min"]:
         bad("N_max", f"range is empty: N_min={cfg['N_min']}, "
                      f"N_max={cfg['N_max']}")
+    if name in _LEAST_N:
+        need, step = _LEAST_N[name]
+        got = len(range(cfg["N_min"], cfg["N_max"] + 1, step))
+        if got < need:
+            bad("N_max", f"needs {need} values of N or more, got {got} "
+                         f"from N_min={cfg['N_min']} to N_max={cfg['N_max']} "
+                         f"in steps of {step}")
     if "sign" in cfg and cfg["sign"] not in (-1, 0, 1):
         bad("sign", f"must be -1, 0, or +1, got {cfg['sign']}")
     if "sweep" in cfg and cfg["sweep"] not in (0, 1):
@@ -517,7 +530,7 @@ def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
             steps *= 2
         u0 = build_phi_NR(n, r, g, part)
         conf = SolveConfig(alpha=cfg["alpha"], sign=1, T=t_n, dt=t_n / steps)
-        ends = picard_terms(u0, k_terms, conf, store_stride=steps,
+        ends = picard_terms(u0, k_terms, conf,
                             final=lambda f: sobolev_norm(f, -0.5))
         tail = float(sum(ends[2:]))
         c0s.append(c0)

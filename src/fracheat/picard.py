@@ -23,11 +23,10 @@ import numpy as np
 from . import _kernels
 from ._threads import run_two
 from .config import SolveConfig
-from .errors import ConfigError, DomainError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .evolution import trapezoid_step
 from .grid import (SpectralField, TorusGrid, check_alpha, field_basis,
                    fractional_symbol)
-from .trajectory import Trajectory
 
 R = TypeVar("R")
 
@@ -114,21 +113,20 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     return float(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
 
 
-def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
-                 store_stride: int = 1, *,
+def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
                  final: Optional[Callable[[SpectralField], R]] = None
-                 ) -> Union[List[Trajectory], List[R]]:
-    """First n_terms Taylor trajectories A_1..A_k of the flow from `seed`.
+                 ) -> Union[List[SpectralField], List[R]]:
+    """The first n_terms Taylor terms A_1..A_k of the flow from `seed`, at
+    the horizon T = config.T.
 
     Exponential-trapezoid time stepping on the shared Duhamel structure;
     quadratic sources are 2/3-rule dealiased. The basis is picked once from
     the seed's symmetry (grid.field_basis), and u^2 keeps it: the terms
     k >= 2 of a real seed march on modes 0..M/3 only, as real cosine
     coefficients over M/2 samples when the seed is exactly even and as an
-    rfft half over M samples otherwise. They are returned on the full,
-    exactly Hermitian spectrum. store_stride keeps every stride-th node
-    (stride must divide the step count), so large-M runs can retain
-    endpoints only.
+    rfft half over M samples otherwise. Each term's arithmetic does not
+    depend on the horizon, so the march to T' = i dt gives node i of the
+    march to T bit for bit.
 
     The march runs on two threads as a wavefront. A_k at step i needs
     A_1..A_{k-1} at step i and A_k at step i-1, so the calling thread
@@ -142,36 +140,27 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
     values do not depend on the schedule. An error in either stage breaks
     the barrier and is raised here after both have stopped.
 
-    With `final`, nothing is stored and the list of final(A_k(T)) for
-    k = 1..n_terms is returned instead. After both stages have stopped,
-    this thread widens each term's last node in turn into one reused
-    full-spectrum buffer and calls final on it, so final may be a traced
-    layer. The field is valid during its call only: the next term
-    overwrites its coefficients. store_stride is still checked.
+    After both stages have stopped, this thread widens the terms to the
+    full spectrum, exactly Hermitian for a real seed. With final it widens
+    each term in turn into one reused buffer and returns
+    [final(A_1(T)), ..., final(A_K(T))]; final may be a traced layer, and
+    the field it is given is valid during its call only: the next term
+    overwrites its coefficients. Without final each term is returned as a
+    SpectralField with coefficients of its own.
     """
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
     grid = seed.grid
     config.check_stability(grid.max_frequency)
     n = config.n_steps
-    if store_stride < 1 or n % store_stride != 0:
-        raise ConfigError(
-            f"store_stride {store_stride} must divide the step count {n}")
-    m = grid.mode_count
     decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
     # sigma folds into the step exactly: it is -1, 0 or 1
     half = 0.5 * config.dt * float(config.sign)
     basis = field_basis(grid, seed.is_real, seed.coeffs)
     # terms k >= 2 are dealiased sources, carried in the basis and widened
-    # only when stored or read
+    # only when read
     band_decay = decay[:basis.width]
 
-    stored = []
-    if final is None:
-        n_stored = n // store_stride + 1
-        stored = [np.zeros((n_stored, m), dtype=complex)
-                  for _ in range(n_terms)]
-        stored[0][0] = seed.coeffs
     a1 = seed.coeffs.copy()
     a1_band = basis.band(a1)
 
@@ -226,12 +215,6 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
                 fprev[k], spare = fnext, fprev[k]
                 if k < n_terms:
                     basis.samples(coeff[k], out=phys[k], work=work)
-            if stored and i % store_stride == 0:
-                row = i // store_stride
-                if leads:
-                    stored[0][row] = a1
-                for k in terms:
-                    basis.widen(coeff[k], out=stored[k - 1][row])
 
         return step
 
@@ -260,9 +243,9 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig,
             lambda: march(trail, 1, [slot + own for slot in slots]),
             barrier.abort, "march")
     if final is None:
-        out_dt = config.dt * store_stride
-        return [Trajectory(grid, out_dt, arr, is_real=seed.is_real)
-                for arr in stored]
+        # the march's buffers are this call's own: each term keeps one
+        ends = [a1] + [basis.widen(coeff[k]) for k in range(2, n_terms + 1)]
+        return [SpectralField(grid, c, is_real=seed.is_real) for c in ends]
     # A_1's buffer is the reused one: each later term is widened over it
     results = [final(SpectralField(grid, a1, is_real=seed.is_real))]
     for k in range(2, n_terms + 1):

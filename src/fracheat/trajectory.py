@@ -38,7 +38,3 @@ class Trajectory:
 
     def field(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[i].copy(), is_real=self.is_real)
-
-    def final_field(self) -> SpectralField:
-        return self.field(self.n_nodes - 1)
-

@@ -13,10 +13,9 @@ from fracheat.evolution import (
     trapezoid_step,
 )
 from fracheat.grid import SpectralField, TorusGrid, dealiased_product_coeffs
-from fracheat.picard import picard_terms
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED, random_band_field
+from conftest import SEED, picard_nodes, random_band_field
 
 
 def free_trajectory(u0: SpectralField, alpha: float, dt: float,
@@ -138,7 +137,7 @@ def test_solution_matches_picard_series():
     u0 = small_datum(g, alpha, 0.005, rng)
     traj, rep = fixed_point_solve(u0, cfg)
     assert rep.converged
-    terms = picard_terms(u0, 12, cfg)
+    terms = picard_nodes(u0, 12, cfg)
     series = sum(t.coeffs for t in terms)
     diff = traj.coeffs - series
     worst = np.max(np.sqrt(g.period * np.sum(np.abs(diff) ** 2, axis=1)))
@@ -209,7 +208,7 @@ def test_smoothing_constant_oracle():
     ks = np.unique(np.rint(np.geomspace(1, 4095, 400)).astype(int))
     xi = 2 * np.pi * np.concatenate([[0], ks]) / 64.0
     formula = np.max((1 + xi**2) ** 0.5 * np.exp(-t * xi**2) * t**0.5)
-    got = smoothing_constant(-1.0, 0.0, alpha, t, grid=grid, n_probe=400)
+    got = smoothing_constant(-1.0, 0.0, alpha, t, grid=grid)
     assert got == pytest.approx(formula, rel=1e-6)
     # continuum closed form sqrt(1/2) e^{t - 1/2} for this index pair
     closed = np.sqrt(0.5) * np.exp(t - 0.5)

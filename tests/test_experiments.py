@@ -149,6 +149,16 @@ def test_validate_config_domain_checks():
                         {"family": "psiN", "N_min": "2", "N_max": "4"})
     with pytest.raises(ConfigError, match="norm-inflation.N_min: phiNR"):
         validate_config("norm-inflation", {"N_min": "1"})
+    # these passed here with too few N for their verdicts: a lone N read as
+    # a trend, or a fit that failed after the whole pipeline, naming no key
+    with pytest.raises(ConfigError, match="norm-inflation.N_max: .*got 1"):
+        validate_config("norm-inflation", {"N_max": "9"})
+    with pytest.raises(ConfigError, match="endpoint-cascade.N_max: .*got 1"):
+        validate_config("endpoint-cascade", {"N_min": "4", "N_max": "4"})
+    with pytest.raises(ConfigError, match="besov-scaling.N_max: .*got 2"):
+        validate_config("besov-scaling", {"N_min": "6", "N_max": "7"})
+    with pytest.raises(ConfigError, match="wellposed-scaling.N_max: .*got 2"):
+        validate_config("wellposed-scaling", {"N_min": "7", "N_max": "8"})
 
 
 def test_validate_config_budget_gate():

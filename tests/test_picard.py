@@ -29,7 +29,7 @@ from fracheat.picard import (
 )
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED, raised_within
+from conftest import SEED, picard_nodes, raised_within
 
 
 def test_theta_closed_forms():
@@ -163,8 +163,7 @@ def test_picard_first_term_is_free_flow():
     g = TorusGrid(16.0, 256)
     seed = seed_field_on(g)
     cfg = SolveConfig(alpha=0.75, T=0.5, dt=1 / 64)
-    terms = picard_terms(seed, 1, cfg)
-    a1 = terms[0]
+    a1, = picard_nodes(seed, 1, cfg)
     sym = np.abs(g.frequencies) ** 1.5
     for i in (0, 8, 32):
         want = seed.coeffs * np.exp(-a1.times[i] * sym)
@@ -180,11 +179,11 @@ def test_picard_homogeneity_and_sign_flip():
     scaled = picard_terms(SpectralField(g, mu * seed.coeffs), 4, cfg)
     flipped = picard_terms(seed, 4, SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=-1))
     for k in range(1, 5):
-        ref = base[k - 1].coeffs[-1]
+        ref = base[k - 1].coeffs
         tol = 1e-13 * max(np.max(np.abs(ref)), 1e-30)
-        assert np.allclose(scaled[k - 1].coeffs[-1], mu**k * ref, atol=tol)
+        assert np.allclose(scaled[k - 1].coeffs, mu**k * ref, atol=tol)
         parity = -1.0 if k % 2 == 0 else 1.0
-        assert np.allclose(flipped[k - 1].coeffs[-1], parity * ref, atol=tol)
+        assert np.allclose(flipped[k - 1].coeffs, parity * ref, atol=tol)
 
 
 def test_picard_a2_matches_closed_form():
@@ -195,13 +194,13 @@ def test_picard_a2_matches_closed_form():
     seed = seed_field_on(g)
     t_end = 0.5
     cfg = SolveConfig(alpha=0.75, T=t_end, dt=t_end / 512)
-    a2 = picard_terms(seed, 2, cfg, store_stride=512)[1]
-    series_vals = 4 * np.pi * g.period * a2.coeffs[-1].real
+    a2 = picard_terms(seed, 2, cfg)[1]
+    series_vals = 4 * np.pi * g.period * a2.coeffs.real
     za_vals = second_iterate_hat(band_indicator, t_end, g.frequencies, 0.75, g)
     scale = np.max(np.abs(za_vals))
     assert np.max(np.abs(series_vals - za_vals)) < 1e-3 * scale
     # imaginary parts are round-off only
-    assert np.max(np.abs(a2.coeffs[-1].imag)) < 1e-15
+    assert np.max(np.abs(a2.coeffs.imag)) < 1e-15
 
 
 @pytest.mark.parametrize("is_real", [True, False])
@@ -219,7 +218,7 @@ def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, is_real):
         c = (rng.standard_normal(256) + 1j * rng.standard_normal(256)) * band
         seed = SpectralField(g, 0.1 * c, is_real=False)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
-    a1, a2 = picard_terms(seed, 2, cfg)
+    a1, a2 = picard_nodes(seed, 2, cfg)
     sq = np.array([dealiased_square(a1.field(i)).coeffs
                    for i in range(a1.n_nodes)])
     src = Trajectory(g, a1.dt, sq, is_real=is_real)
@@ -227,7 +226,7 @@ def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, is_real):
         a2.coeffs, sign * duhamel_integrate(src, 0.75).coeffs)
 
 
-def _picard_terms_oracle(seed, n_terms, config, store_stride=1):
+def _picard_terms_oracle(seed, n_terms, config):
     """Node-by-node coefficients of A_1..A_n_terms from the full-spectrum
     march: every term on all M modes, complex transforms, and the source of
     A_k summed over every split (k1, k - k1)."""
@@ -258,9 +257,8 @@ def _picard_terms_oracle(seed, n_terms, config, store_stride=1):
             coeff[k] = decay * coeff[k] + half * (decay * fprev[k] + fnext)
             fprev[k] = fnext
             phys[k] = to_phys(coeff[k])
-        if i % store_stride == 0:
-            for rows, c in zip(stored, coeff[1:]):
-                rows.append(c)
+        for rows, c in zip(stored, coeff[1:]):
+            rows.append(c)
     return [np.array(rows) for rows in stored]
 
 
@@ -278,18 +276,16 @@ def _full_band_seed(is_real):
     return SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
 
 
-@pytest.mark.parametrize("store_stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [2, 5])
 @pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms,
-                                                 store_stride):
+def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms):
     # a full-band seed, so A_1 carries modes beyond the dealiased band that
     # the real march keeps only in A_1 itself
     seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
-    terms = picard_terms(seed, n_terms, cfg, store_stride=store_stride)
-    want = _picard_terms_oracle(seed, n_terms, cfg, store_stride)
+    terms = picard_nodes(seed, n_terms, cfg)
+    want = _picard_terms_oracle(seed, n_terms, cfg)
     for term, ref in zip(terms, want):
         assert term.is_real == bool(is_real)
         assert term.coeffs.shape == ref.shape
@@ -317,7 +313,7 @@ def test_picard_terms_buffers_do_not_leak(is_real):
             assert not np.shares_memory(a, b)
 
 
-def _picard_terms_serial_oracle(seed, n_terms, config, store_stride=1):
+def _picard_terms_serial_oracle(seed, n_terms, config):
     """Node-by-node coefficients of A_1..A_n_terms from the one-thread
     march: the basis, sources and steps of picard_terms, with every term
     advanced in order on this thread and the stepper in its allocating
@@ -355,8 +351,7 @@ def _picard_terms_serial_oracle(seed, n_terms, config, store_stride=1):
         for k in range(2, n_terms + 1)]
     fnext = np.empty(basis.width, dtype=basis.coeff_dtype)
 
-    stored = [np.zeros((n // store_stride + 1, m), dtype=complex)
-              for _ in range(n_terms)]
+    stored = [np.zeros((n + 1, m), dtype=complex) for _ in range(n_terms)]
     stored[0][0] = coeff[1]
     for i in range(1, n + 1):
         np.multiply(decay, coeff[1], out=coeff[1])
@@ -368,26 +363,22 @@ def _picard_terms_serial_oracle(seed, n_terms, config, store_stride=1):
             fprev[k], fnext = fnext, fprev[k]
             if k < n_terms:
                 basis.samples(coeff[k], out=phys[k])
-        if i % store_stride == 0:
-            row = i // store_stride
-            stored[0][row] = coeff[1]
-            for k in range(2, n_terms + 1):
-                basis.widen(coeff[k], out=stored[k - 1][row])
+        stored[0][i] = coeff[1]
+        for k in range(2, n_terms + 1):
+            basis.widen(coeff[k], out=stored[k - 1][i])
     return stored
 
 
-@pytest.mark.parametrize("store_stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 12])
 @pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms,
-                                          store_stride):
+def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms):
     # the two-stage wavefront does each term's arithmetic of the one-thread
     # march, so the trajectories are bit for bit the same
     seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
-    terms = picard_terms(seed, n_terms, cfg, store_stride=store_stride)
-    want = _picard_terms_serial_oracle(seed, n_terms, cfg, store_stride)
+    terms = picard_nodes(seed, n_terms, cfg)
+    want = _picard_terms_serial_oracle(seed, n_terms, cfg)
     assert len(terms) == n_terms
     for term, ref in zip(terms, want):
         np.testing.assert_array_equal(term.coeffs, ref)
@@ -402,7 +393,7 @@ def test_picard_terms_equal_serial_oracle_under_fast_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [picard_terms(seed, 12, cfg) for _ in range(3)]
+        runs = [picard_nodes(seed, 12, cfg) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
     for terms in runs:
@@ -459,37 +450,32 @@ def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
     assert not any(t.name == "fracheat-march" for t in threading.enumerate())
 
 
-# 16 is the step count, so that stride keeps the endpoints only
-@pytest.mark.parametrize("store_stride", [1, 16])
 @pytest.mark.parametrize("n_terms", [1, 2, 12])
 @pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_final_route_equals_trajectory_route(sign, is_real,
-                                                          n_terms,
-                                                          store_stride):
-    # final= sees each term's last node as final_field() gives it: the
-    # full-band A_1 first, then every later term widened over the same
-    # buffer, in all three bases (the cosine basis's self-mirrored modes
-    # included)
+def test_picard_terms_final_route_equals_default_fields(sign, is_real,
+                                                        n_terms):
+    # final= sees each term as the default route returns it: the full-band
+    # A_1 first, then every later term widened over the same buffer, in all
+    # three bases (the cosine basis's self-mirrored modes included)
     seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
-    assert cfg.n_steps == 16
-    terms = picard_terms(seed, n_terms, cfg, store_stride)
-    norms = picard_terms(seed, n_terms, cfg, store_stride,
+    terms = picard_terms(seed, n_terms, cfg)
+    norms = picard_terms(seed, n_terms, cfg,
                          final=lambda u: sobolev_norm(u, -0.5))
-    assert norms == [sobolev_norm(t.final_field(), -0.5) for t in terms]
-    ends = picard_terms(seed, n_terms, cfg, store_stride,
-                        final=lambda u: u.coeffs.copy())
+    assert norms == [sobolev_norm(t, -0.5) for t in terms]
+    ends = picard_terms(seed, n_terms, cfg, final=lambda u: u.coeffs.copy())
     assert len(ends) == n_terms
     for end, term in zip(ends, terms):
-        np.testing.assert_array_equal(end, term.final_field().coeffs)
+        assert term.is_real == bool(is_real)
+        np.testing.assert_array_equal(end, term.coeffs)
 
 
 def test_picard_terms_final_route_stores_no_rows():
-    # norm-inflation's march at N = 10: M = 2^14, 64 steps, 12 terms. The
-    # Trajectory route at stride 64 keeps 12 x 2 complex rows of M modes
-    # (6.3 MB, the bound) on top of the march's own buffers, which are all
-    # the final route holds
+    # norm-inflation's march at N = 10: M = 2^14, 64 steps, 12 terms. Its
+    # own buffers stay under the first and last rows of each term, 12 x 2
+    # complex rows of M modes (6.3 MB, the bound), which a march that kept
+    # even two nodes per term would hold on top of them
     n = 10
     g = TorusGrid(4.0, 2 ** (n + 4))
     u0 = build_phi_NR(n, n ** -0.25 * np.log(n), g, make_partition(g))
@@ -497,19 +483,14 @@ def test_picard_terms_final_route_stores_no_rows():
     cfg = SolveConfig(alpha=0.5, sign=1, T=t_n, dt=t_n / 64)
     rows = 12 * 2 * g.mode_count * 16
 
-    def peak(**final):
-        tracemalloc.start()
-        try:
-            picard_terms(u0, 12, cfg, 64, **final)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    final_peak = peak(final=lambda u: sobolev_norm(u, -0.5))
-    stored_peak = peak()
-    print(f"march peak at M = 2^14: final route {final_peak / 2**20:.2f} MiB, "
-          f"Trajectory route {stored_peak / 2**20:.2f} MiB")
-    assert final_peak < rows < stored_peak
+    tracemalloc.start()
+    try:
+        picard_terms(u0, 12, cfg, final=lambda u: sobolev_norm(u, -0.5))
+        final_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"march peak at M = 2^14: final route {final_peak / 2**20:.2f} MiB")
+    assert final_peak < rows
 
 
 def test_picard_terms_final_runs_on_the_calling_thread():
@@ -520,6 +501,25 @@ def test_picard_terms_final_runs_on_the_calling_thread():
     picard_terms(seed, 6, cfg,
                  final=lambda u: seen.append(threading.current_thread()))
     assert seen == [threading.current_thread()] * 6
+
+
+@pytest.mark.parametrize("is_real", [True, "even"])
+def test_picard_terms_widen_on_the_calling_thread_only(monkeypatch, is_real):
+    # both real bases widen through grid.hermitian_full; that full-spectrum
+    # work happens after the march, on this thread, on either route
+    seed = _full_band_seed(is_real)
+    cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
+    seen = []
+    real_fn = grid.hermitian_full
+
+    def recorded(*args, **kwargs):
+        seen.append(threading.current_thread())
+        return real_fn(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "hermitian_full", recorded)
+    picard_terms(seed, 6, cfg)
+    picard_terms(seed, 6, cfg, final=lambda u: sobolev_norm(u, -0.5))
+    assert seen and set(seen) == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("at", [1, 6])
@@ -590,16 +590,17 @@ def test_second_iterate_peak_memory_does_not_grow_with_targets():
 
 
 def test_picard_store_stride_and_errors():
+    # the march to T = 8 dt is node 8 of the march over 16 steps, bit for
+    # bit: the horizon property picard_nodes relies on
     g = TorusGrid(16.0, 256)
     seed = seed_field_on(g)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64)
-    full = picard_terms(seed, 3, cfg)
-    strided = picard_terms(seed, 3, cfg, store_stride=8)
-    assert strided[2].n_nodes == full[2].n_nodes // 8 + 1
-    assert strided[2].dt == pytest.approx(8 * cfg.dt)
-    assert np.allclose(strided[2].coeffs[1], full[2].coeffs[8], atol=0)
-    with pytest.raises(ConfigError):
-        picard_terms(seed, 2, cfg, store_stride=7)  # does not divide 16
+    assert cfg.n_steps == 16
+    want = _picard_terms_serial_oracle(seed, 3, cfg)
+    half_way = picard_terms(seed, 3, SolveConfig(alpha=0.75, T=8 / 64,
+                                                 dt=1 / 64))
+    for term, ref in zip(half_way, want):
+        np.testing.assert_array_equal(term.coeffs, ref[8])
     with pytest.raises(DomainError):
         picard_terms(seed, 0, cfg)
     with pytest.raises(ConfigError):
@@ -649,12 +650,12 @@ def test_series_terms_against_lemma_bounds():
     c = r * phi_profile(g.frequencies / 2.0**n) / g.period
     seed = SpectralField(g, c.astype(complex))
     cfg = SolveConfig(alpha=0.5, T=t_n, dt=t_n / 64)
-    terms = picard_terms(seed, 5, cfg, store_stride=64)
+    terms = picard_terms(seed, 5, cfg)
     for k in (3, 4, 5):
-        measured = sobolev_norm(terms[k - 1].final_field(), -0.5)
+        measured = sobolev_norm(terms[k - 1], -0.5)
         assert measured <= tail_bound(k, n, r, t_n, c0)
     for k in (1, 2, 3, 4):
-        measured = modulation_norm(terms[k - 1].final_field(), n)
+        measured = modulation_norm(terms[k - 1], n)
         assert measured <= modulation_growth_bound(k, n, r, t_n, c0)
 
 
