@@ -59,18 +59,23 @@ def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> 
     return SpectralField(grid, coeffs, is_real=True)
 
 
-def picard_nodes(seed: SpectralField, n_terms: int, config) -> list:
-    """Every node i = 0..n of the Picard terms A_1..A_n_terms, one
-    Trajectory per term. picard_terms returns the terms at its horizon
-    only, and its arithmetic does not depend on the horizon, so node i is
-    the march to i*dt; row 0 is the seed for A_1 and zero for the rest."""
+def picard_nodes(seed: SpectralField, n_terms: int, config,
+                 stride: int = 1) -> list:
+    """Every stride-th node i = 0, stride, ..., n of the Picard terms
+    A_1..A_n_terms, one Trajectory per term. picard_terms returns the terms
+    at its horizon only, and its arithmetic does not depend on the horizon,
+    so node i is the march to i*dt; row 0 is the seed for A_1 and zero for
+    the rest."""
     n, m = config.n_steps, seed.grid.mode_count
-    rows = [np.zeros((n + 1, m), dtype=complex) for _ in range(n_terms)]
+    assert n % stride == 0, (n, stride)
+    rows = [np.zeros((n // stride + 1, m), dtype=complex)
+            for _ in range(n_terms)]
     rows[0][0] = seed.coeffs
-    for i in range(1, n + 1):
-        ends = picard_terms(seed, n_terms,
-                            dataclasses.replace(config, T=i * config.dt))
+    for row in range(1, n // stride + 1):
+        ends = picard_terms(seed, n_terms, dataclasses.replace(
+            config, T=row * stride * config.dt))
         for term, end in zip(rows, ends):
-            term[i] = end.coeffs
-    return [Trajectory(seed.grid, config.dt, term, is_real=end.is_real)
+            term[row] = end.coeffs
+    return [Trajectory(seed.grid, stride * config.dt, term,
+                       is_real=end.is_real)
             for term, end in zip(rows, ends)]

@@ -276,16 +276,18 @@ def _full_band_seed(is_real):
     return SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
 
 
+@pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [2, 5])
 @pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms):
+def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms,
+                                                 stride):
     # a full-band seed, so A_1 carries modes beyond the dealiased band that
     # the real march keeps only in A_1 itself
     seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
-    terms = picard_nodes(seed, n_terms, cfg)
-    want = _picard_terms_oracle(seed, n_terms, cfg)
+    terms = picard_nodes(seed, n_terms, cfg, stride)
+    want = [ref[::stride] for ref in _picard_terms_oracle(seed, n_terms, cfg)]
     for term, ref in zip(terms, want):
         assert term.is_real == bool(is_real)
         assert term.coeffs.shape == ref.shape
@@ -369,16 +371,18 @@ def _picard_terms_serial_oracle(seed, n_terms, config):
     return stored
 
 
+@pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 12])
 @pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms):
+def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms, stride):
     # the two-stage wavefront does each term's arithmetic of the one-thread
     # march, so the trajectories are bit for bit the same
     seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
-    terms = picard_nodes(seed, n_terms, cfg)
-    want = _picard_terms_serial_oracle(seed, n_terms, cfg)
+    terms = picard_nodes(seed, n_terms, cfg, stride)
+    want = [ref[::stride]
+            for ref in _picard_terms_serial_oracle(seed, n_terms, cfg)]
     assert len(terms) == n_terms
     for term, ref in zip(terms, want):
         np.testing.assert_array_equal(term.coeffs, ref)
@@ -450,17 +454,23 @@ def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
     assert not any(t.name == "fracheat-march" for t in threading.enumerate())
 
 
+# 16 is the step count, so that stride keeps the endpoints only
+@pytest.mark.parametrize("stride", [1, 16])
 @pytest.mark.parametrize("n_terms", [1, 2, 12])
 @pytest.mark.parametrize("is_real", [True, False, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_final_route_equals_default_fields(sign, is_real,
-                                                        n_terms):
+def test_picard_terms_final_route_equals_trajectory_route(sign, is_real,
+                                                          n_terms, stride):
     # final= sees each term as the default route returns it: the full-band
     # A_1 first, then every later term widened over the same buffer, in all
-    # three bases (the cosine basis's self-mirrored modes included)
+    # three bases (the cosine basis's self-mirrored modes included); and
+    # that is the last node of picard_nodes' trajectory at either stride
     seed = _full_band_seed(is_real)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
+    assert cfg.n_steps == 16
     terms = picard_terms(seed, n_terms, cfg)
+    for term, traj in zip(terms, picard_nodes(seed, n_terms, cfg, stride)):
+        np.testing.assert_array_equal(term.coeffs, traj.coeffs[-1])
     norms = picard_terms(seed, n_terms, cfg,
                          final=lambda u: sobolev_norm(u, -0.5))
     assert norms == [sobolev_norm(t, -0.5) for t in terms]
