@@ -102,10 +102,11 @@ class DyadicPartition:
         # Block j >= 0 is phi_profile(xi/2^j) and block -1 is eta, each
         # evaluated on its support windows clipped to window. Both are
         # elementwise, so a clipped value is the unclipped one.
-        xi = self.grid.frequencies
+        def block(j, sl):
+            xi = self.grid.frequencies_at(sl)
+            return eta(xi) if j == -1 else phi_profile(xi / 2.0**j)
         return tuple(
-            tuple((sl, eta(xi[sl]) if j == -1 else phi_profile(xi[sl] / 2.0**j))
-                  for sl in _clip(windows, window))
+            tuple((sl, block(j, sl)) for sl in _clip(windows, window))
             for j, windows in zip(self.block_range, self._layout))
 
     def multiplier(self, j: int) -> np.ndarray:

@@ -188,7 +188,7 @@ def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
     ks = np.unique(np.rint(np.geomspace(1, k_max, _PROBE_MODES)).astype(int))
     ks = np.concatenate([[0], ks])
     weight = t ** ((s2 - s1) / (2.0 * alpha))
-    xi = grid.frequencies[ks]
+    xi = grid.frequencies_at(ks)
     gain = (np.exp(-t * fractional_symbol(grid, alpha)[ks])
             * (1.0 + xi**2) ** ((s2 - s1) / 2.0))
     return float(weight * gain.max())

@@ -146,11 +146,10 @@ def _seed(grid: TorusGrid, parts) -> SpectralField:
     windows are added in, as 0 + v == v: a margin mode one part's window
     shares with another's gains only that part's 0."""
     coeffs = np.zeros(grid.mode_count, dtype=complex)
-    xi = grid.frequencies
     windows = []
     for lo, hi, profile in parts:
         for sl in grid.support_windows(lo, hi):
-            coeffs[sl] += profile(xi[sl]) / grid.period
+            coeffs[sl] += profile(grid.frequencies_at(sl)) / grid.period
             windows.append(sl)
     return SpectralField(grid, coeffs, _windows=tuple(windows))
 
@@ -241,7 +240,7 @@ def verify_cascade(n: int, alpha: float, t: float, grid: TorusGrid,
 
     # resonance geometry on the lattice: the points of I_N, read from the
     # k >= 0 window of +-I_N
-    near = grid.frequencies[grid.support_windows(n, n + 2.0)[0]]
+    near = grid.frequencies_at(grid.support_windows(n, n + 2.0)[0])
     pos = near[(near > n) & (near < n + 2.0)]
     lo, hi = float(n) ** (2 * alpha), 2.0 * (n + 2.0) ** (2 * alpha)
     theta_min, theta_max = np.inf, 0.0
@@ -275,12 +274,12 @@ def pairing_lower_bound(n: int, alpha: float, t: float,
     require_band(grid, support_top("phiN", n), "pairing_lower_bound")
     require_spacing(grid, "phiN", "pairing_lower_bound")
     profile = phi_hat_profile(n, alpha)
-    freqs = grid.frequencies
     # the modes |xi_k| <= 1/2, in fft order, found on their windows
     windows = grid.support_windows(0.0, 0.5)
-    low = np.concatenate([sl.start + np.flatnonzero(np.abs(freqs[sl]) <= 0.5)
-                          for sl in windows])
-    za = second_iterate_hat(profile, t, freqs[low], alpha, grid)
+    low = np.concatenate([
+        sl.start + np.flatnonzero(np.abs(grid.frequencies_at(sl)) <= 0.5)
+        for sl in windows])
+    za = second_iterate_hat(profile, t, grid.frequencies_at(low), alpha, grid)
     coeffs = np.zeros(grid.mode_count, dtype=complex)
     coeffs[low] = za / (4.0 * np.pi * grid.period)
     field = SpectralField(grid, coeffs, _windows=windows)

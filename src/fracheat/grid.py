@@ -78,18 +78,37 @@ class TorusGrid:
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        """xi_k = 2*pi*k/lam, fft order."""
-        return (2.0 * np.pi / self.period) * self.wavenumbers
+        """xi_k = 2*pi*k/lam, fft order, cached: the whole-spectrum form of
+        frequencies_at."""
+        return self.frequencies_at(slice(0, self.mode_count))
 
-    @cached_property
-    def sample_points(self) -> np.ndarray:
-        """x_n = n*lam/M, n = 0..M-1."""
-        return (self.period / self.mode_count) * np.arange(self.mode_count)
+    def frequencies_at(self, index) -> np.ndarray:
+        """xi_k = 2*pi*k/lam at the fft indices index only, equal bit for
+        bit to frequencies[index]; index i holds the mode k = i for
+        i < M/2 and k = i - M otherwise.
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        # 2/3 rule: keep |k| <= M/3
-        return np.abs(self.wavenumbers) <= self.mode_count // 3
+        index is a slice inside [0, M), as support_windows returns, or an
+        integer array of fft indices. A windowed reader builds its modes
+        alone, never the whole lattice.
+        """
+        m = self.mode_count
+        if isinstance(index, slice):
+            start, stop, step = index.indices(m)
+            if step != 1:
+                raise IndexError("need a unit-step slice")
+            # integers are exact in float64, so k - M and the product
+            # round as they do from the integer k
+            xi = np.arange(start, stop, dtype=np.float64)
+            xi[max(m // 2 - start, 0):] -= m
+        else:
+            i = np.asarray(index)
+            if i.size and (i.dtype.kind not in "iu"
+                           or i.min() < 0 or i.max() >= m):
+                raise IndexError(f"need integer fft indices in [0, {m})")
+            xi = i.astype(np.float64)
+            xi[i >= m // 2] -= m
+        xi *= self.spacing
+        return xi
 
     @cached_property
     def cosine_twiddles(self) -> tuple:
@@ -515,10 +534,10 @@ def pair_with_test_function(field: SpectralField,
     even test profiles ghat. ghat is elementwise: it is evaluated, and the
     sum taken, on each window of the field's support in turn.
     """
-    xi = field.grid.frequencies
     total = 0j
     for sl in field._support:
-        vals = np.asarray(ghat(xi[sl]), dtype=np.complex128)
+        vals = np.asarray(ghat(field.grid.frequencies_at(sl)),
+                          dtype=np.complex128)
         if vals.shape != (sl.stop - sl.start,):
             raise DimensionError("test profile returned wrong shape")
         total += np.sum(field.coeffs[sl] * vals)

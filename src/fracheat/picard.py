@@ -75,13 +75,12 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     check_alpha(alpha)
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    freqs = lattice.frequencies
     parts = getattr(phihat, "parts", ((0.0, lattice.max_frequency, phihat),))
     nodes, node_w = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for lo, hi, f in parts:
         for sl in lattice.support_windows(lo, hi):
-            w = np.asarray(f(freqs[sl]), dtype=float)
-            if w.shape != freqs[sl].shape:
+            w = np.asarray(f(lattice.frequencies_at(sl)), dtype=float)
+            if w.shape != (sl.stop - sl.start,):
                 raise DomainError("phihat returned wrong shape on the lattice")
             hit = np.flatnonzero(w)
             nodes.append(hit + sl.start)
@@ -100,7 +99,7 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     if nz.size == 0:
         vals = np.zeros(targets.shape[0])
     else:
-        xi1 = freqs[nz]
+        xi1 = lattice.frequencies_at(nz)
         w1 = w1[None, :]
 
         def weights(a, b):

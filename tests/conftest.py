@@ -43,6 +43,16 @@ def rng():
     return np.random.default_rng(SEED)
 
 
+def sample_points(grid: TorusGrid) -> np.ndarray:
+    """x_n = n*lam/M, n = 0..M-1."""
+    return (grid.period / grid.mode_count) * np.arange(grid.mode_count)
+
+
+def dealias_mask(grid: TorusGrid) -> np.ndarray:
+    """The 2/3 rule's kept band |k| <= M/3, fft order."""
+    return np.abs(grid.wavenumbers) <= grid.mode_count // 3
+
+
 def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> SpectralField:
     """Random real field with spectrum confined to |xi| <= band.
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from fracheat.experiments import (
     run_experiment,
     validate_config,
 )
+from fracheat.grid import TorusGrid
 
 
 # ------------------------------------------------------------- exponent fit
@@ -325,6 +327,23 @@ def test_dilation_check_pipeline():
     for lam, ratio in zip(rec.values["lambda_d"], rec.values["ratio"]):
         assert ratio == pytest.approx(lam ** (a - 0.5), rel=0.02)
     assert rec.values["base_norm"] > 0
+
+
+def test_windowed_experiments_build_no_whole_lattice(monkeypatch):
+    # their seeds, Besov blocks, quadrature nodes and pairings read xi_k on
+    # support windows through frequencies_at, so none of their 2^17 and
+    # 2^19 grids builds a whole-lattice wavenumbers or frequencies array
+    built = []
+    for name in ("wavenumbers", "frequencies"):
+        def recorded(grid, name=name, build=TorusGrid.__dict__[name].func):
+            built.append((name, grid.mode_count))
+            return build(grid)
+        prop = cached_property(recorded)
+        prop.__set_name__(TorusGrid, name)
+        monkeypatch.setattr(TorusGrid, name, prop)
+    for experiment in ("besov-scaling", "cascade", "endpoint-cascade"):
+        assert run_experiment(experiment).passed
+    assert not [b for b in built if b[1] >= 2**17], built
 
 
 # ------------------------------------------------------------- persistence

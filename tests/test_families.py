@@ -22,6 +22,8 @@ from fracheat.families import (
 from fracheat.grid import TorusGrid, from_spectral, l2_norm
 from fracheat.picard import second_iterate_hat
 
+from conftest import sample_points
+
 
 def test_family_spec_validation():
     FamilySpec("phiN", 1, 0.5)
@@ -63,7 +65,7 @@ def test_phi_n_physical_samples():
     n, alpha = 512, 1.0
     f = build_phi_N(n, alpha, g)
     samples = from_spectral(f)
-    x = g.sample_points.copy()
+    x = sample_points(g)
     x[x > g.period / 2] -= g.period  # symmetric window around 0
     peak = 2.0 * n**alpha / np.pi
     expected = np.where(x == 0.0, peak,
@@ -330,7 +332,6 @@ def test_psi_seed_memory_stays_near_its_coefficients():
     # 2^19 modes: the coefficients take 8 MiB; the seed's checks read its
     # windows only, where a full-spectrum check takes 16 MiB more
     g = TorusGrid(128.0, 2**19)
-    g.frequencies  # the grid's own cache is not the builder's
     peak = _peak_bytes(lambda: build_psi_N(6, 0.75, g))
     print(f"build_psi_N(6) peak on 2^19 modes: {peak / 2**20:.1f} MiB")
     assert peak < 10 * 2**20
@@ -340,7 +341,6 @@ def test_psi_second_iterate_memory_stays_off_the_lattice():
     # the nodes come from the parts' windows, with no lattice-length
     # profile array (4 MiB per part at 2^19 modes)
     g = TorusGrid(128.0, 2**19)
-    g.frequencies
     scan = np.linspace(-0.5, 0.5, 21)
     peak = _peak_bytes(lambda: second_iterate_hat(psi_hat_profile(6, 0.75),
                                                   0.5, scan, 0.75, g))

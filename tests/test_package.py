@@ -55,3 +55,34 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing, f"{module.__name__}.__all__ names missing: {missing}"
+
+
+# The readers outside grid.py of the cached whole-lattice
+# TorusGrid.frequencies: each needs every mode. A windowed reader takes its
+# modes through frequencies_at, so that it never builds the whole lattice.
+WHOLE_SPECTRUM_READERS = {"dyadic.sobolev_norm", "dyadic._window_index",
+                          "experiments._run_semigroup"}
+
+
+def _attribute_readers(node, attr, scope):
+    # (qualified name of the enclosing function or class, line) of every
+    # .attr under node
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Attribute) and child.attr == attr:
+            yield scope, child.lineno
+        yield from _attribute_readers(child, attr, inner)
+
+
+def test_only_whole_spectrum_readers_take_the_cached_frequencies():
+    readers = [(scope, line) for name in MODULES if name != "grid"
+               for scope, line in _attribute_readers(
+                   ast.parse((SRC / f"{name}.py").read_text()),
+                   "frequencies", name)]
+    stray = [f"{scope} (line {line})" for scope, line in readers
+             if scope not in WHOLE_SPECTRUM_READERS]
+    assert not stray, f".frequencies read outside the allowlist: {stray}"
+    assert {scope for scope, _ in readers} == WHOLE_SPECTRUM_READERS

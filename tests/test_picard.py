@@ -29,7 +29,7 @@ from fracheat.picard import (
 )
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED, picard_nodes, raised_within
+from conftest import SEED, dealias_mask, picard_nodes, raised_within
 
 
 def test_theta_closed_forms():
@@ -232,7 +232,7 @@ def _picard_terms_oracle(seed, n_terms, config):
     A_k summed over every split (k1, k - k1)."""
     g = seed.grid
     m = g.mode_count
-    keep = g.dealias_mask
+    keep = dealias_mask(g)
     decay = np.exp(-config.dt * np.abs(g.frequencies) ** (2 * config.alpha))
     half = 0.5 * config.dt * config.sign
 
