@@ -14,12 +14,8 @@ from typing import Optional, Sequence
 
 from .errors import (BudgetError, ConfigError, DimensionError, DomainError,
                      ResolutionError)
-from .experiments import (EXPERIMENT_NAMES, emit_report, parse_config_file,
-                          run_experiment)
-
-_USAGE_KEYS = ("config keys: alpha s s2 q family N_min N_max lambda modes "
-               "dt T tol seed sign norm sweep (see the experiment defaults "
-               "in fracheat.experiments)")
+from .experiments import (_KEYS, EXPERIMENT_NAMES, emit_report,
+                          parse_config_file, run_experiment)
 
 
 def _collect_overrides(extra) -> dict:
@@ -38,7 +34,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracheat",
         description="Run one named experiment and persist its record.",
-        epilog=_USAGE_KEYS)
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="config keys (each experiment takes those of its defaults):\n"
+        + "\n".join(f"  {key:<6}  {k.type.__name__:<5}  {k.need}".rstrip()
+                    for key, k in _KEYS.items()))
     parser.add_argument("experiment", choices=EXPERIMENT_NAMES,
                         metavar="experiment",
                         help="one of: " + ", ".join(EXPERIMENT_NAMES))

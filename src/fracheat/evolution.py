@@ -189,7 +189,7 @@ def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
     ks = np.concatenate([[0], ks])
     weight = t ** ((s2 - s1) / (2.0 * alpha))
     xi = grid.frequencies_at(ks)
-    gain = (np.exp(-t * fractional_symbol(grid, alpha)[ks])
+    gain = (np.exp(-t * np.abs(xi) ** (2.0 * alpha))
             * (1.0 + xi**2) ** ((s2 - s1) / 2.0))
     return float(weight * gain.max())
 

@@ -23,7 +23,8 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -33,10 +34,9 @@ from .dyadic import algebra_constant, besov_norm, make_partition, sobolev_norm
 from .errors import BudgetError, ConfigError, DomainError, ResolutionError
 from .evolution import (dilation_rescale, fixed_point_solve, integral_residual,
                         smoothing_constant)
-from .families import (FamilySpec, build_family, build_phi_NR, build_psi_N,
-                       pairing_lower_bound, phi_hat_profile, psi_hat_profile,
-                       require_band, require_spacing, support_top,
-                       verify_cascade)
+from .families import (FamilySpec, build_family, pairing_lower_bound,
+                       phi_hat_profile, psi_hat_profile, require_band,
+                       require_spacing, support_top, verify_cascade)
 from .grid import SpectralField, TorusGrid, apply_semigroup, to_spectral
 from .picard import hs_norm_from_hat_scan, picard_terms, second_iterate_hat
 
@@ -119,11 +119,34 @@ class ExperimentRecord:
 
 # ---------------------------------------------------------------- config
 
-_KEY_TYPES: Dict[str, type] = {
-    "alpha": float, "s": float, "s2": float, "q": float, "family": str,
-    "N_min": int, "N_max": int, "lambda": float, "modes": int,
-    "dt": float, "T": float, "tol": float, "seed": int,
-    "sign": int, "norm": float, "sweep": int,
+class _Key(NamedTuple):
+    """A config key's type and domain rule: a value passes when ok(value)
+    holds, or always when ok is None; need says what the rule asks for."""
+
+    type: type
+    ok: Optional[Callable[[object], bool]] = None
+    need: str = ""
+
+
+_POSITIVE = _Key(float, lambda v: v > 0.0, "must be positive")
+
+# every key any experiment takes; the CLI lists them in this order
+_KEYS: Dict[str, _Key] = {
+    "alpha": _Key(float, lambda a: 0.0 < a <= 1.0, "needs 0 < alpha <= 1"),
+    "s": _Key(float), "s2": _Key(float),
+    "q": _Key(float, lambda q: q >= 1.0, "needs q >= 1"),
+    "family": _Key(str, lambda f: f in ("phiN", "psiN", "phiNR"),
+                   "needs phiN, psiN or phiNR"),
+    "N_min": _Key(int, lambda n: n >= 1, "needs N >= 1"),
+    "N_max": _Key(int),
+    "lambda": _Key(float, lambda p: p >= 1.0, "needs a period >= 1"),
+    "modes": _Key(int, lambda m: m >= 4 and not m & (m - 1),
+                  "needs a power of two >= 4"),
+    "dt": _POSITIVE, "T": _POSITIVE, "tol": _POSITIVE,
+    "seed": _Key(int, lambda n: n >= 0, "must be nonnegative"),
+    "sign": _Key(int, lambda v: v in (-1, 0, 1), "must be -1, 0, or +1"),
+    "norm": _Key(float, lambda v: v >= 0.0, "target norm must be >= 0"),
+    "sweep": _Key(int, lambda v: v in (0, 1), "must be 0 or 1"),
 }
 
 
@@ -147,116 +170,56 @@ def parse_config_file(path) -> Dict[str, str]:
     return out
 
 
-# (least count, step) of the N values whose verdicts compare several N:
-# an exponent fit needs 3 points, a trend 2; norm-inflation steps N by 2
-_LEAST_N = {"besov-scaling": (3, 1), "wellposed-scaling": (3, 1),
-            "endpoint-cascade": (2, 1), "norm-inflation": (2, 2)}
-
-
-def _check_domains(name: str, cfg: Dict[str, object]) -> None:
+def _check_domains(name: str, exp: "_Experiment",
+                   cfg: Dict[str, object]) -> None:
     def bad(key, msg):
         raise ConfigError(f"{name}.{key}: {msg}")
 
-    if "alpha" in cfg and not 0.0 < cfg["alpha"] <= 1.0:
-        bad("alpha", f"needs 0 < alpha <= 1, got {cfg['alpha']}")
-    if "q" in cfg and not cfg["q"] >= 1.0:
-        bad("q", f"needs q >= 1, got {cfg['q']}")
-    if "lambda" in cfg and not cfg["lambda"] >= 1.0:
-        bad("lambda", f"needs a period >= 1, got {cfg['lambda']}")
-    if "modes" in cfg:
-        m = cfg["modes"]
-        if m < 4 or m & (m - 1):
-            bad("modes", f"needs a power of two >= 4, got {m}")
-        if m > BUDGET_MODES:
-            raise BudgetError(
-                f"{name}.modes: {m} modes exceed the desk budget "
-                f"{BUDGET_MODES}")
-    for key in ("dt", "T", "tol"):
-        if key in cfg and not cfg[key] > 0.0:
-            bad(key, f"must be positive, got {cfg[key]}")
+    # every key's rule from the table, then the experiment's narrower ones
+    rules = [(key, _KEYS[key].ok, _KEYS[key].need) for key in cfg]
+    for key, ok, need in rules + list(exp.rules):
+        if ok is not None and not ok(cfg[key]):
+            bad(key, f"{need}, got {cfg[key]!r}")
+    ns = exp.sweep(cfg)
+    if len(ns) < exp.least:
+        bad("N_max", f"needs {exp.least} values of N or more, got {len(ns)} "
+                     f"from N_min={cfg['N_min']} to N_max={cfg['N_max']}")
+    # the largest grid the config admits, sized before any is allocated
+    grid = exp.grid(cfg, cfg.get("N_max"))
+    if grid.mode_count > BUDGET_MODES:
+        key = "modes" if "modes" in cfg else "N_max"
+        raise BudgetError(f"{name}.{key}: {grid.mode_count} modes exceed "
+                          f"the desk budget {BUDGET_MODES}")
     if "dt" in cfg:
         # the solver's own rules: a whole step count, and the stability
         # gate on this grid's band
         try:
-            band = TorusGrid(cfg["lambda"], cfg["modes"]).max_frequency
             SolveConfig(alpha=cfg["alpha"], T=cfg["T"],
-                        dt=cfg["dt"]).check_stability(band)
+                        dt=cfg["dt"]).check_stability(grid.max_frequency)
         except ConfigError as exc:
             bad("dt", str(exc))
-    if "N_min" in cfg and cfg["N_min"] < 1:
-        bad("N_min", f"needs N >= 1, got {cfg['N_min']}")
-    if "N_max" in cfg and "N_min" in cfg and cfg["N_max"] < cfg["N_min"]:
-        bad("N_max", f"range is empty: N_min={cfg['N_min']}, "
-                     f"N_max={cfg['N_max']}")
-    if name in _LEAST_N:
-        need, step = _LEAST_N[name]
-        got = len(range(cfg["N_min"], cfg["N_max"] + 1, step))
-        if got < need:
-            bad("N_max", f"needs {need} values of N or more, got {got} "
-                         f"from N_min={cfg['N_min']} to N_max={cfg['N_max']} "
-                         f"in steps of {step}")
-    if "sign" in cfg and cfg["sign"] not in (-1, 0, 1):
-        bad("sign", f"must be -1, 0, or +1, got {cfg['sign']}")
-    if "sweep" in cfg and cfg["sweep"] not in (0, 1):
-        bad("sweep", f"must be 0 or 1, got {cfg['sweep']}")
-    if "seed" in cfg and cfg["seed"] < 0:
-        bad("seed", f"must be nonnegative, got {cfg['seed']}")
-    if "family" in cfg and cfg["family"] not in ("phiN", "psiN", "phiNR"):
-        bad("family", f"unknown family {cfg['family']!r}")
-    if "norm" in cfg and cfg["norm"] < 0.0:
-        bad("norm", f"target norm must be >= 0, got {cfg['norm']}")
-    seeds = _seeds(name, cfg)
-    if seeds is not None:
-        # the family builders' own rules, on this experiment's grid:
-        # FamilySpec's on the smallest seed, the band on the largest; the
-        # spacing does not depend on N
-        family, dyadic, key = seeds
-        n_min, n_top = (2 ** cfg[k] if dyadic else cfg[k]
-                        for k in ("N_min", key))
-        try:
-            FamilySpec(family, n_min, cfg["alpha"],
-                       r=_DATUM_R if family == "phiNR" else None)
-        except DomainError as exc:
-            bad("N_min", str(exc))
-        grid = TorusGrid(cfg["lambda"], cfg["modes"])
-        try:
-            require_spacing(grid, family, family)
-        except ResolutionError as exc:
-            bad("lambda", str(exc))
-        try:
-            top = support_top(family, n_top)
-        except OverflowError:  # past the float range, so past any band
-            top = math.inf
-        try:
-            require_band(grid, top, family)
-        except ResolutionError as exc:
-            bad(key, str(exc))
-    if name == "norm-inflation":
-        n = cfg["N_min"]
-        try:
-            FamilySpec("phiNR", n, cfg["alpha"], r=_bump_radius(n))
-        except DomainError as exc:
-            bad("N_min", str(exc))
-        if 2 ** (cfg["N_max"] + 4) > BUDGET_MODES:
-            # fail before any grid of that size is allocated
-            raise BudgetError(
-                f"{name}.N_max: the schedule needs 2^{cfg['N_max'] + 4} "
-                f"modes, over the desk budget {BUDGET_MODES}")
-
-
-def _seeds(name: str, cfg: Dict[str, object]):
-    """(family, dyadic, key) of the seeds an experiment builds on its own
-    grid, family members N_min up to cfg[key], or None if it builds none.
-    dyadic: the family index is 2^N, not N."""
-    if name in ("solve", "dilation-check"):
-        return cfg["family"], False, "N_min"
-    if name == "endpoint-cascade" or (name == "besov-scaling"
-                                      and cfg["family"] == "psiN"):
-        return "psiN", False, "N_max"
-    if name == "cascade" or (name == "besov-scaling"
-                             and cfg["family"] == "phiN"):
-        return "phiN", True, "N_max"
-    return None  # besov-scaling's run refuses phiNR, naming the family
+    if exp.seed is None:
+        return
+    # the family builders' own rules, on the grid of the last seed:
+    # FamilySpec's on the first and last seeds, the band on the last; the
+    # spacing does not depend on N
+    try:
+        first, last = exp.seed(cfg, ns[0]), exp.seed(cfg, ns[-1])
+    except DomainError as exc:
+        bad("N_min", str(exc))
+    grid = exp.grid(cfg, ns[-1])
+    try:
+        require_spacing(grid, first.family, first.family)
+    except ResolutionError as exc:
+        bad("lambda", str(exc))
+    try:
+        top = support_top(last.family, last.n)
+    except OverflowError:  # past the float range, so past any band
+        top = math.inf
+    try:
+        require_band(grid, top, last.family)
+    except ResolutionError as exc:
+        bad("N_max" if "N_max" in cfg else "N_min", str(exc))
 
 
 def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
@@ -268,29 +231,31 @@ def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; expected one of "
                           f"{', '.join(EXPERIMENT_NAMES)}")
-    cfg = dict(EXPERIMENTS[name].defaults)
+    exp = EXPERIMENTS[name]
+    cfg = dict(exp.defaults)
     for key, raw in dict(overrides or {}).items():
         if key not in cfg:
             raise ConfigError(f"{name}.{key}: unknown key; this experiment "
                               f"takes {sorted(cfg)}")
-        want = _KEY_TYPES[key]
+        want = _KEYS[key].type
         try:
             val = want(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"{name}.{key}: expected {want.__name__}, "
                               f"got {raw!r}") from None
         cfg[key] = val
-    _check_domains(name, cfg)
+    _check_domains(name, exp, cfg)
     return cfg
 
 
 # ------------------------------------------------------------- pipelines
 
-def _grid(cfg) -> TorusGrid:
+def _grid(cfg, n: Optional[int] = None) -> TorusGrid:
+    """The config's one grid, the same for every N."""
     return TorusGrid(cfg["lambda"], cfg["modes"])
 
 
-def _run_semigroup(cfg) -> Tuple[dict, dict]:
+def _run_semigroup(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
     # the complex transform of real noise: Hermitian to round-off, so the
@@ -314,21 +279,13 @@ def _run_semigroup(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _run_besov_scaling(cfg) -> Tuple[dict, dict]:
-    fam = cfg["family"]
-    if fam not in ("phiN", "psiN"):
-        raise ConfigError("besov-scaling.family: scaling laws exist for "
-                          "phiN (dyadic N) and psiN (direct N)")
+def _run_besov_scaling(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     part = make_partition(g)
     a, s, q = cfg["alpha"], cfg["s"], cfg["q"]
-    if fam == "phiN":
-        ns = [2 ** j for j in range(cfg["N_min"], cfg["N_max"] + 1)]
-        expected = a + s
-    else:
-        ns = list(range(cfg["N_min"], cfg["N_max"] + 1))
-        expected = -0.5 + 1.0 / q
-    norms = [besov_norm(build_family(FamilySpec(fam, n, a), g), s, q,
+    ns = exp.sweep(cfg)
+    expected = a + s if cfg["family"] == "phiN" else -0.5 + 1.0 / q
+    norms = [besov_norm(build_family(exp.seed(cfg, n), g), s, q,
                         part).value for n in ns]
     fit = fit_exponent(zip(ns, norms))
     values = {"N": ns, "norm": norms, "slope": fit.slope,
@@ -338,7 +295,7 @@ def _run_besov_scaling(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _run_smoothing(cfg) -> Tuple[dict, dict]:
+def _run_smoothing(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     ts = [cfg["T"] / 100.0, cfg["T"] / 10.0, cfg["T"]]
     consts = [smoothing_constant(cfg["s"], cfg["s2"], cfg["alpha"], t, grid=g)
@@ -355,10 +312,9 @@ def _run_smoothing(cfg) -> Tuple[dict, dict]:
 _DATUM_R = 1.0
 
 
-def _family_datum(cfg, grid: TorusGrid, part) -> SpectralField:
-    r = _DATUM_R if cfg["family"] == "phiNR" else None
-    u0 = build_family(FamilySpec(cfg["family"], cfg["N_min"], cfg["alpha"],
-                                 r=r), grid, part)
+def _family_datum(cfg, exp, grid: TorusGrid, part) -> SpectralField:
+    [n] = exp.sweep(cfg)
+    u0 = build_family(exp.seed(cfg, n), grid, part)
     target = cfg["norm"]
     if target > 0.0:
         cur = besov_norm(u0, cfg["s"], cfg["q"], part).value
@@ -367,10 +323,10 @@ def _family_datum(cfg, grid: TorusGrid, part) -> SpectralField:
     return u0
 
 
-def _run_solve(cfg) -> Tuple[dict, dict]:
+def _run_solve(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     part = make_partition(g)
-    u0 = _family_datum(cfg, g, part)
+    u0 = _family_datum(cfg, exp, g, part)
     conf = SolveConfig(alpha=cfg["alpha"], sign=cfg["sign"], T=cfg["T"],
                        dt=cfg["dt"], picard_tol=cfg["tol"], s=cfg["s"],
                        q=cfg["q"])
@@ -423,9 +379,9 @@ def _classify_cell(alpha: float, s: float, ns, grid: TorusGrid,
     return rhos, fit.slope
 
 
-def _run_wellposed(cfg) -> Tuple[dict, dict]:
+def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
-    ns = list(range(cfg["N_min"], cfg["N_max"] + 1))
+    ns = exp.sweep(cfg)
     if not cfg["sweep"]:
         rhos, slope = _classify_cell(cfg["alpha"], cfg["s"], ns, g, cfg["T"])
         ill = slope >= _ILL_SLOPE
@@ -460,9 +416,9 @@ def _run_wellposed(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _run_cascade(cfg) -> Tuple[dict, dict]:
+def _run_cascade(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
-    ns = [2 ** j for j in range(cfg["N_min"], cfg["N_max"] + 1)]
+    ns = exp.sweep(cfg)
     reports = [verify_cascade(n, cfg["alpha"], cfg["T"], g,
                               quad_tol=cfg["tol"]) for n in ns]
     pairings = [pairing_lower_bound(n, cfg["alpha"], cfg["T"], g) for n in ns]
@@ -478,15 +434,13 @@ def _run_cascade(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _run_endpoint_cascade(cfg) -> Tuple[dict, dict]:
-    if cfg["q"] <= 2.0:
-        raise ConfigError("endpoint-cascade.q: the endpoint contrast needs "
-                          "q > 2")
+def _run_endpoint_cascade(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     part = make_partition(g)
     a, q, t = cfg["alpha"], cfg["q"], cfg["T"]
-    ns = list(range(cfg["N_min"], cfg["N_max"] + 1))
-    norms = [besov_norm(build_psi_N(n, a, g), -a, q, part).value for n in ns]
+    ns = exp.sweep(cfg)
+    norms = [besov_norm(build_family(exp.seed(cfg, n), g), -a, q,
+                        part).value for n in ns]
     scan = np.linspace(-0.5, 0.5, 21)
     zmins = [float(np.min(second_iterate_hat(psi_hat_profile(n, a), t, scan,
                                              a, g))) for n in ns]
@@ -504,7 +458,13 @@ def _bump_radius(n: int) -> float:
     return n ** -0.25 * math.log(n)
 
 
-def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
+def _inflation_grid(cfg, n: int) -> TorusGrid:
+    """norm-inflation's grid for member N: period 4 and 2^(N+4) modes, so
+    the band pi 2^(N+2) holds the bump's support [2^N, 2^(N+2)]."""
+    return TorusGrid(4.0, 2 ** (n + 4))
+
+
+def _run_norm_inflation(cfg, exp) -> Tuple[dict, dict]:
     """The calibrated small-data/short-time schedule at alpha = 1/2.
 
     Per N: estimate the modulation algebra constant C0 on the N-window,
@@ -514,27 +474,26 @@ def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
     H^{-1/2}.
     """
     k_terms = 12
-    ns = list(range(cfg["N_min"], cfg["N_max"] + 1, 2))
+    ns = exp.sweep(cfg)
     c0s, rs, t_ns = [], [], []
     phi_norms, free_norms, a2_norms, tails, surrogate = [], [], [], [], []
     for n in ns:
-        g = TorusGrid(4.0, 2 ** (n + 4))
+        g = exp.grid(cfg, n)
         part = make_partition(g)
-        alg = algebra_constant(g, n, seed=cfg["seed"])
-        c0 = alg.c0
-        r = _bump_radius(n)
+        c0 = algebra_constant(g, n, seed=cfg["seed"]).c0
+        spec = exp.seed(cfg, n)
         t_n = 1.0 / (8.0 * c0 * 2.0 ** n)
         steps = 64
         # keep dt under the exponential-trapezoid stability gate
         while t_n / steps * g.max_frequency ** (2 * cfg["alpha"]) > 8.0:
             steps *= 2
-        u0 = build_phi_NR(n, r, g, part)
+        u0 = build_family(spec, g, part)
         conf = SolveConfig(alpha=cfg["alpha"], sign=1, T=t_n, dt=t_n / steps)
         ends = picard_terms(u0, k_terms, conf,
                             final=lambda f: sobolev_norm(f, -0.5))
         tail = float(sum(ends[2:]))
         c0s.append(c0)
-        rs.append(r)
+        rs.append(spec.r)
         t_ns.append(t_n)
         phi_norms.append(sobolev_norm(u0, -0.5))
         free_norms.append(ends[0])
@@ -555,12 +514,12 @@ def _run_norm_inflation(cfg) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _run_dilation_check(cfg) -> Tuple[dict, dict]:
+def _run_dilation_check(cfg, exp) -> Tuple[dict, dict]:
     a = cfg["alpha"]
     cfg = dict(cfg, s=-a, q=2.0)  # the dilation bound lives in B^{-alpha,2}
     g = _grid(cfg)
     part = make_partition(g)
-    u0 = _family_datum(cfg, g, part)
+    u0 = _family_datum(cfg, exp, g, part)
     conf = SolveConfig(alpha=a, sign=cfg["sign"], T=cfg["T"], dt=cfg["dt"],
                        picard_tol=1e-10, s=-a, q=2.0)
     traj, report = fixed_point_solve(u0, conf)
@@ -588,10 +547,36 @@ def _run_dilation_check(cfg) -> Tuple[dict, dict]:
 
 # ------------------------------------------------------------ dispatcher
 
+def _direct(cfg, step: int = 1) -> List[int]:
+    """The sweep N_min, N_min + step, ... up to N_max."""
+    return list(range(cfg["N_min"], cfg["N_max"] + 1, step))
+
+
+def _dyadic(cfg) -> List[int]:
+    """The sweep 2^j for j = N_min..N_max."""
+    return [2 ** j for j in _direct(cfg)]
+
+
+def _configured_seed(cfg, n: int) -> FamilySpec:
+    """Member n of the config's family; a phiNR datum has R = _DATUM_R."""
+    r = _DATUM_R if cfg["family"] == "phiNR" else None
+    return FamilySpec(cfg["family"], n, cfg["alpha"], r=r)
+
+
 @dataclass(frozen=True)
 class _Experiment:
+    """One pipeline and its declarations, which run(cfg, exp) and
+    validate_config both read."""
+
     defaults: Dict[str, object]
-    run: Callable[[dict], Tuple[dict, dict]]
+    run: Callable[[dict, "_Experiment"], Tuple[dict, dict]]
+    sweep: Callable[[dict], List[int]] = lambda cfg: []  # the N values run
+    least: int = 0  # how many N values the verdicts need
+    # the FamilySpec of member n's seed, built on grid(cfg, n); None: none
+    seed: Optional[Callable[[dict, int], FamilySpec]] = None
+    grid: Callable[[dict, Optional[int]], TorusGrid] = _grid
+    # (key, ok, need) rules that narrow _KEYS' rules for this experiment
+    rules: Tuple[Tuple[str, Callable[[object], bool], str], ...] = ()
 
 
 EXPERIMENTS: Dict[str, _Experiment] = {
@@ -603,7 +588,12 @@ EXPERIMENTS: Dict[str, _Experiment] = {
         {"family": "phiN", "alpha": 0.75, "s": -0.75, "q": 2.0,
          "N_min": 6, "N_max": 12, "lambda": 128.0, "modes": 2 ** 19,
          "tol": 0.05, "seed": DEFAULT_SEED},
-        _run_besov_scaling),
+        _run_besov_scaling,
+        sweep=lambda cfg: (_dyadic if cfg["family"] == "phiN"
+                           else _direct)(cfg),
+        least=3, seed=_configured_seed,
+        rules=(("family", lambda f: f in ("phiN", "psiN"),
+                "needs phiN or psiN, the families with scaling laws"),)),
     "smoothing-check": _Experiment(
         {"alpha": 1.0, "s": -1.0, "s2": 0.0, "T": 0.1, "lambda": 64.0,
          "modes": 8192, "tol": 0.1, "seed": DEFAULT_SEED},
@@ -612,30 +602,39 @@ EXPERIMENTS: Dict[str, _Experiment] = {
         {"family": "phiN", "N_min": 8, "alpha": 0.75, "s": -0.75, "q": 2.0,
          "norm": 0.01, "sign": 1, "lambda": 32.0, "modes": 512,
          "dt": 0.015625, "T": 1.0, "tol": 1e-8, "seed": DEFAULT_SEED},
-        _run_solve),
+        _run_solve, sweep=lambda cfg: [cfg["N_min"]], least=1,
+        seed=_configured_seed),
     "wellposed-scaling": _Experiment(
         {"alpha": 0.75, "s": -0.5, "sweep": 0, "N_min": 7, "N_max": 12,
          "lambda": 64.0, "modes": 2048, "T": 0.5, "tol": 0.25,
          "seed": DEFAULT_SEED},
-        _run_wellposed),
+        _run_wellposed, sweep=_direct, least=3),
     "cascade": _Experiment(
         {"alpha": 0.75, "N_min": 9, "N_max": 12, "T": 0.5, "lambda": 32.0,
          "modes": 2 ** 17, "tol": 0.05, "seed": DEFAULT_SEED},
-        _run_cascade),
+        _run_cascade, sweep=_dyadic, least=1,
+        seed=lambda cfg, n: FamilySpec("phiN", n, cfg["alpha"])),
     "endpoint-cascade": _Experiment(
         {"alpha": 0.75, "q": 4.0, "N_min": 3, "N_max": 6, "T": 0.5,
          "lambda": 128.0, "modes": 2 ** 19, "tol": 0.05,
          "seed": DEFAULT_SEED},
-        _run_endpoint_cascade),
+        _run_endpoint_cascade, sweep=_direct, least=2,
+        seed=lambda cfg, n: FamilySpec("psiN", n, cfg["alpha"]),
+        rules=(("q", lambda q: q > 2.0,
+                "the endpoint contrast needs q > 2"),)),
     "norm-inflation": _Experiment(
         {"alpha": 0.5, "N_min": 8, "N_max": 16, "tol": 4.0,
          "seed": DEFAULT_SEED},
-        _run_norm_inflation),
+        _run_norm_inflation, sweep=lambda cfg: _direct(cfg, 2), least=2,
+        seed=lambda cfg, n: FamilySpec("phiNR", n, cfg["alpha"],
+                                       r=_bump_radius(n)),
+        grid=_inflation_grid),
     "dilation-check": _Experiment(
         {"family": "phiN", "N_min": 8, "alpha": 0.75, "norm": 0.01,
          "sign": 1, "lambda": 32.0, "modes": 512, "dt": 0.015625,
          "T": 0.25, "tol": 0.05, "seed": DEFAULT_SEED},
-        _run_dilation_check),
+        _run_dilation_check, sweep=lambda cfg: [cfg["N_min"]], least=1,
+        seed=_configured_seed),
 }
 
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
@@ -645,7 +644,8 @@ def run_experiment(name: str, config: Optional[Mapping] = None
                    ) -> ExperimentRecord:
     """Validate, execute, and wrap one named experiment."""
     cfg = validate_config(name, config)
-    values, verdicts = EXPERIMENTS[name].run(cfg)
+    exp = EXPERIMENTS[name]
+    values, verdicts = exp.run(cfg, exp)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     return ExperimentRecord(name, stamp, cfg, values,
                             {k: bool(v) for k, v in verdicts.items()},

@@ -69,14 +69,6 @@ class TorusGrid:
             raise DomainError(f"mode_count must be a power of two >= 4, got {m}")
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        # integer k in fft order: 0, 1, ..., M/2-1, -M/2, ..., -1
-        m = self.mode_count
-        k = np.arange(m)
-        k[m // 2:] -= m
-        return k
-
-    @cached_property
     def frequencies(self) -> np.ndarray:
         """xi_k = 2*pi*k/lam, fft order, cached: the whole-spectrum form of
         frequencies_at."""

@@ -48,9 +48,17 @@ def sample_points(grid: TorusGrid) -> np.ndarray:
     return (grid.period / grid.mode_count) * np.arange(grid.mode_count)
 
 
+def wavenumbers(grid: TorusGrid) -> np.ndarray:
+    """Integer k in fft order: 0, 1, ..., M/2-1, -M/2, ..., -1."""
+    m = grid.mode_count
+    k = np.arange(m)
+    k[m // 2:] -= m
+    return k
+
+
 def dealias_mask(grid: TorusGrid) -> np.ndarray:
     """The 2/3 rule's kept band |k| <= M/3, fft order."""
-    return np.abs(grid.wavenumbers) <= grid.mode_count // 3
+    return np.abs(wavenumbers(grid)) <= grid.mode_count // 3
 
 
 def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> SpectralField:
@@ -61,7 +69,7 @@ def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> 
     samples = rng.standard_normal(grid.mode_count)
     coeffs = np.fft.fft(samples) / grid.mode_count
     keep = np.abs(grid.frequencies) <= band
-    keep &= np.abs(grid.wavenumbers) < grid.mode_count // 2  # drop the lone Nyquist mode
+    keep &= np.abs(wavenumbers(grid)) < grid.mode_count // 2  # drop the lone Nyquist mode
     coeffs = np.where(keep, coeffs, 0.0)
     peak = np.max(np.abs(coeffs))
     if peak > 0:

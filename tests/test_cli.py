@@ -1,10 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracheat
+from fracheat.cli import main
+from fracheat.experiments import _KEYS, EXPERIMENTS
 
 # The directory that holds the imported package. The child runs in a
 # temporary working directory, where a relative PYTHONPATH (e.g. "src")
@@ -94,3 +99,17 @@ def test_cli_results_env_redirects_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "registry.jsonl").exists()
     assert not (tmp_path / "registry.jsonl").exists()
+
+
+def test_help_lists_every_config_key_from_the_key_table(capsys):
+    # the key table is the one declaration of the keys: every experiment's
+    # defaults draw on it, and the usage text is built from it
+    keys = [key for exp in EXPERIMENTS.values() for key in exp.defaults]
+    assert set(keys) <= set(_KEYS)
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    missing = [key for key in _KEYS
+               if not re.search(rf"^  {re.escape(key)}\s", out, re.M)]
+    assert not missing, out

@@ -161,6 +161,11 @@ def test_validate_config_domain_checks():
         validate_config("besov-scaling", {"N_min": "6", "N_max": "7"})
     with pytest.raises(ConfigError, match="wellposed-scaling.N_max: .*got 2"):
         validate_config("wellposed-scaling", {"N_min": "7", "N_max": "8"})
+    # these passed here and failed in the runner
+    with pytest.raises(ConfigError, match="besov-scaling.family"):
+        validate_config("besov-scaling", {"family": "phiNR"})
+    with pytest.raises(ConfigError, match="endpoint-cascade.q"):
+        validate_config("endpoint-cascade", {"q": "2"})
 
 
 def test_validate_config_budget_gate():
@@ -330,20 +335,21 @@ def test_dilation_check_pipeline():
 
 
 def test_windowed_experiments_build_no_whole_lattice(monkeypatch):
-    # their seeds, Besov blocks, quadrature nodes and pairings read xi_k on
-    # support windows through frequencies_at, so none of their 2^17 and
-    # 2^19 grids builds a whole-lattice wavenumbers or frequencies array
+    # their seeds, Besov blocks, quadrature nodes, pairings and smoothing
+    # probe modes read xi_k through frequencies_at, so none of their grids
+    # (2^19, 2^17, 2^19 and 8192 modes) builds the whole-lattice frequencies
     built = []
-    for name in ("wavenumbers", "frequencies"):
-        def recorded(grid, name=name, build=TorusGrid.__dict__[name].func):
-            built.append((name, grid.mode_count))
-            return build(grid)
-        prop = cached_property(recorded)
-        prop.__set_name__(TorusGrid, name)
-        monkeypatch.setattr(TorusGrid, name, prop)
-    for experiment in ("besov-scaling", "cascade", "endpoint-cascade"):
+
+    def recorded(grid, build=TorusGrid.__dict__["frequencies"].func):
+        built.append(grid.mode_count)
+        return build(grid)
+    prop = cached_property(recorded)
+    prop.__set_name__(TorusGrid, "frequencies")
+    monkeypatch.setattr(TorusGrid, "frequencies", prop)
+    for experiment in ("besov-scaling", "cascade", "endpoint-cascade",
+                       "smoothing-check"):
         assert run_experiment(experiment).passed
-    assert not [b for b in built if b[1] >= 2**17], built
+    assert not built, built
 
 
 # ------------------------------------------------------------- persistence

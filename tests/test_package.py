@@ -86,3 +86,25 @@ def test_only_whole_spectrum_readers_take_the_cached_frequencies():
              if scope not in WHOLE_SPECTRUM_READERS]
     assert not stray, f".frequencies read outside the allowlist: {stray}"
     assert {scope for scope, _ in readers} == WHOLE_SPECTRUM_READERS
+
+
+def _raised_names(func: ast.FunctionDef):
+    # (name, line) of every exception func raises by name, called or bare
+    for node in ast.walk(func):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id, node.lineno
+
+
+def test_no_runner_raises_a_config_error():
+    # validate_config is the one config gate: every rule a runner would
+    # enforce is declared on its experiment and checked before it runs
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    runners = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_run_")]
+    assert len(runners) == 9
+    raised = [f"{func.name} raises {name} (line {line})"
+              for func in runners for name, line in _raised_names(func)
+              if name in ("ConfigError", "BudgetError")]
+    assert not raised, raised
