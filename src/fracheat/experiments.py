@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -188,7 +188,8 @@ def _check_domains(name: str, exp: "_Experiment",
     grid = exp.grid(cfg, cfg.get("N_max"))
     if grid.mode_count > BUDGET_MODES:
         key = "modes" if "modes" in cfg else "N_max"
-        raise BudgetError(f"{name}.{key}: {grid.mode_count} modes exceed "
+        raise BudgetError(f"{name}.{key}: the grid needs 2^"
+                          f"{grid.mode_count.bit_length() - 1} modes, over "
                           f"the desk budget {BUDGET_MODES}")
     if "dt" in cfg:
         # the solver's own rules: a whole step count, and the stability
@@ -239,11 +240,10 @@ def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
                               f"takes {sorted(cfg)}")
         want = _KEYS[key].type
         try:
-            val = want(raw)
+            cfg[key] = want(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"{name}.{key}: expected {want.__name__}, "
                               f"got {raw!r}") from None
-        cfg[key] = val
     _check_domains(name, exp, cfg)
     return cfg
 
@@ -251,7 +251,6 @@ def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
 # ------------------------------------------------------------- pipelines
 
 def _grid(cfg, n: Optional[int] = None) -> TorusGrid:
-    """The config's one grid, the same for every N."""
     return TorusGrid(cfg["lambda"], cfg["modes"])
 
 
@@ -283,7 +282,7 @@ def _run_besov_scaling(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     part = make_partition(g)
     a, s, q = cfg["alpha"], cfg["s"], cfg["q"]
-    ns = exp.sweep(cfg)
+    ns = list(exp.sweep(cfg))
     expected = a + s if cfg["family"] == "phiN" else -0.5 + 1.0 / q
     norms = [besov_norm(build_family(exp.seed(cfg, n), g), s, q,
                         part).value for n in ns]
@@ -306,10 +305,6 @@ def _run_smoothing(cfg, exp) -> Tuple[dict, dict]:
               "max_deviation": dev}
     verdicts = {"stable": dev <= cfg["tol"]}
     return values, verdicts
-
-
-# R of the phi_{N,R} datum that solve and dilation-check build
-_DATUM_R = 1.0
 
 
 def _family_datum(cfg, exp, grid: TorusGrid, part) -> SpectralField:
@@ -381,7 +376,7 @@ def _classify_cell(alpha: float, s: float, ns, grid: TorusGrid,
 
 def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
-    ns = exp.sweep(cfg)
+    ns = list(exp.sweep(cfg))
     if not cfg["sweep"]:
         rhos, slope = _classify_cell(cfg["alpha"], cfg["s"], ns, g, cfg["T"])
         ill = slope >= _ILL_SLOPE
@@ -418,7 +413,7 @@ def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
 
 def _run_cascade(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
-    ns = exp.sweep(cfg)
+    ns = list(exp.sweep(cfg))
     reports = [verify_cascade(n, cfg["alpha"], cfg["T"], g,
                               quad_tol=cfg["tol"]) for n in ns]
     pairings = [pairing_lower_bound(n, cfg["alpha"], cfg["T"], g) for n in ns]
@@ -438,7 +433,7 @@ def _run_endpoint_cascade(cfg, exp) -> Tuple[dict, dict]:
     g = _grid(cfg)
     part = make_partition(g)
     a, q, t = cfg["alpha"], cfg["q"], cfg["T"]
-    ns = exp.sweep(cfg)
+    ns = list(exp.sweep(cfg))
     norms = [besov_norm(build_family(exp.seed(cfg, n), g), -a, q,
                         part).value for n in ns]
     scan = np.linspace(-0.5, 0.5, 21)
@@ -451,11 +446,6 @@ def _run_endpoint_cascade(cfg, exp) -> Tuple[dict, dict]:
                 "cascade_floor": all(z >= (1.0 - cfg["tol"]) * threshold
                                      for z in zmins)}
     return values, verdicts
-
-
-def _bump_radius(n: int) -> float:
-    """R = N^{-1/4} ln N of norm-inflation's phi_{N,R} datum."""
-    return n ** -0.25 * math.log(n)
 
 
 def _inflation_grid(cfg, n: int) -> TorusGrid:
@@ -474,7 +464,7 @@ def _run_norm_inflation(cfg, exp) -> Tuple[dict, dict]:
     H^{-1/2}.
     """
     k_terms = 12
-    ns = exp.sweep(cfg)
+    ns = list(exp.sweep(cfg))
     c0s, rs, t_ns = [], [], []
     phi_norms, free_norms, a2_norms, tails, surrogate = [], [], [], [], []
     for n in ns:
@@ -547,19 +537,28 @@ def _run_dilation_check(cfg, exp) -> Tuple[dict, dict]:
 
 # ------------------------------------------------------------ dispatcher
 
-def _direct(cfg, step: int = 1) -> List[int]:
+def _direct(cfg, step: int = 1) -> range:
     """The sweep N_min, N_min + step, ... up to N_max."""
-    return list(range(cfg["N_min"], cfg["N_max"] + 1, step))
+    return range(cfg["N_min"], cfg["N_max"] + 1, step)
 
 
-def _dyadic(cfg) -> List[int]:
-    """The sweep 2^j for j = N_min..N_max."""
-    return [2 ** j for j in _direct(cfg)]
+class _Dyadic(Sequence):
+    """The sweep 2^j for j = N_min..N_max, each value made when read, as
+    _direct's range does: validation reads any sweep's length and ends."""
+
+    def __init__(self, cfg):
+        self.js = _direct(cfg)
+
+    def __len__(self) -> int:
+        return len(self.js)
+
+    def __getitem__(self, i: int) -> int:
+        return 2 ** self.js[i]
 
 
 def _configured_seed(cfg, n: int) -> FamilySpec:
-    """Member n of the config's family; a phiNR datum has R = _DATUM_R."""
-    r = _DATUM_R if cfg["family"] == "phiNR" else None
+    """Member n of the config's family; a phiNR datum has R = 1."""
+    r = 1.0 if cfg["family"] == "phiNR" else None
     return FamilySpec(cfg["family"], n, cfg["alpha"], r=r)
 
 
@@ -570,7 +569,7 @@ class _Experiment:
 
     defaults: Dict[str, object]
     run: Callable[[dict, "_Experiment"], Tuple[dict, dict]]
-    sweep: Callable[[dict], List[int]] = lambda cfg: []  # the N values run
+    sweep: Callable[[dict], Sequence[int]] = lambda cfg: []  # N values run
     least: int = 0  # how many N values the verdicts need
     # the FamilySpec of member n's seed, built on grid(cfg, n); None: none
     seed: Optional[Callable[[dict, int], FamilySpec]] = None
@@ -589,7 +588,7 @@ EXPERIMENTS: Dict[str, _Experiment] = {
          "N_min": 6, "N_max": 12, "lambda": 128.0, "modes": 2 ** 19,
          "tol": 0.05, "seed": DEFAULT_SEED},
         _run_besov_scaling,
-        sweep=lambda cfg: (_dyadic if cfg["family"] == "phiN"
+        sweep=lambda cfg: (_Dyadic if cfg["family"] == "phiN"
                            else _direct)(cfg),
         least=3, seed=_configured_seed,
         rules=(("family", lambda f: f in ("phiN", "psiN"),
@@ -612,7 +611,7 @@ EXPERIMENTS: Dict[str, _Experiment] = {
     "cascade": _Experiment(
         {"alpha": 0.75, "N_min": 9, "N_max": 12, "T": 0.5, "lambda": 32.0,
          "modes": 2 ** 17, "tol": 0.05, "seed": DEFAULT_SEED},
-        _run_cascade, sweep=_dyadic, least=1,
+        _run_cascade, sweep=_Dyadic, least=1,
         seed=lambda cfg, n: FamilySpec("phiN", n, cfg["alpha"])),
     "endpoint-cascade": _Experiment(
         {"alpha": 0.75, "q": 4.0, "N_min": 3, "N_max": 6, "T": 0.5,
@@ -627,7 +626,7 @@ EXPERIMENTS: Dict[str, _Experiment] = {
          "seed": DEFAULT_SEED},
         _run_norm_inflation, sweep=lambda cfg: _direct(cfg, 2), least=2,
         seed=lambda cfg, n: FamilySpec("phiNR", n, cfg["alpha"],
-                                       r=_bump_radius(n)),
+                                       r=n ** -0.25 * math.log(n)),
         grid=_inflation_grid),
     "dilation-check": _Experiment(
         {"family": "phiN", "N_min": 8, "alpha": 0.75, "norm": 0.01,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 from functools import cached_property
@@ -166,6 +167,21 @@ def test_validate_config_domain_checks():
         validate_config("besov-scaling", {"family": "phiNR"})
     with pytest.raises(ConfigError, match="endpoint-cascade.q"):
         validate_config("endpoint-cascade", {"q": "2"})
+
+
+def test_validate_config_reads_only_the_ends_of_a_sweep():
+    # a long N range is refused on its last seed's band; the sweep's values
+    # are made when read, so validation builds no list of them
+    for name, n_max in (("endpoint-cascade", 10 ** 6), ("cascade", 20000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError,
+                               match=f"{name}.N_max: .*up to inf"):
+                validate_config(name, {"N_max": str(n_max)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (name, peak)
 
 
 def test_validate_config_budget_gate():
