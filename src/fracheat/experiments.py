@@ -182,7 +182,7 @@ def _check_domains(name: str, exp: "_Experiment",
             bad(key, f"{need}, got {cfg[key]!r}")
     ns = exp.sweep(cfg)
     if len(ns) < exp.least:
-        bad("N_max", f"needs {exp.least} values of N or more, got {len(ns)} "
+        bad("N_max", f"needs {exp.least} or more N values, got {len(ns)} "
                      f"from N_min={cfg['N_min']} to N_max={cfg['N_max']}")
     # the largest grid the config admits, sized before any is allocated
     grid = exp.grid(cfg, cfg.get("N_max"))
