@@ -10,7 +10,8 @@ class DimensionError(ValueError):
 
 
 class SymmetryError(ValueError):
-    """Hermitian symmetry violated for a field declared real."""
+    """Hermitian symmetry violated, or complex samples given for a real
+    field."""
 
 
 class ResolutionError(ValueError):

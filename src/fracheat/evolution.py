@@ -13,7 +13,7 @@ Picard march (picard.picard_terms) both step through it, into buffers they
 own. The fixed-point solver iterates the integral map itself, so its
 per-iteration difference norms double as contraction diagnostics; it
 squares a trajectory with grid.dealiased_product_coeffs, so an exactly even
-real iterate takes the cosine basis there too.
+iterate takes the cosine basis there too.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def duhamel_integrate(source: Trajectory, alpha: float) -> Trajectory:
     for i in range(source.n_nodes - 1):
         trapezoid_step(out[i], source.coeffs[i], source.coeffs[i + 1], decay,
                        half, out=out[i + 1], tmp=tmp)
-    return Trajectory(g, source.dt, out, is_real=source.is_real)
+    return Trajectory(g, source.dt, out)
 
 
 def _free_coeffs(u0: SpectralField, times: np.ndarray, alpha: float) -> np.ndarray:
@@ -81,8 +81,7 @@ def _integral_map(u: Trajectory, free: np.ndarray,
     if config.sign == 0:
         return free
     g = u.grid
-    sq = dealiased_product_coeffs(u.coeffs, u.coeffs, g, real_inputs=u.is_real)
-    src = Trajectory(g, u.dt, sq, is_real=u.is_real)
+    src = Trajectory(g, u.dt, dealiased_product_coeffs(u.coeffs, u.coeffs, g))
     return free + config.sign * duhamel_integrate(src, config.alpha).coeffs
 
 
@@ -127,13 +126,12 @@ def fixed_point_solve(u0: SpectralField, config: SolveConfig):
         n_iter += 1
         # overflow during a genuine blow-up is caught below, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _integral_map(Trajectory(g, config.dt, cur,
-                                           is_real=u0.is_real), free, config)
+            new = _integral_map(Trajectory(g, config.dt, cur), free, config)
         bad = ~np.isfinite(new)
         if bad.any():
             blowup_time = float(times[int(np.argwhere(bad.any(axis=1))[0, 0])])
             break
-        diff = Trajectory(g, config.dt, new - cur, is_real=u0.is_real)
+        diff = Trajectory(g, config.dt, new - cur)
         # huge pre-blow-up iterates may overflow the norm; inf is handled
         with np.errstate(over="ignore", invalid="ignore"):
             d = x_norm(diff, config.s, config.q, config.alpha, part)
@@ -147,7 +145,7 @@ def fixed_point_solve(u0: SpectralField, config: SolveConfig):
                     if diff_norms[i] > 0)
     report = IterationReport(tuple(diff_norms), factors, converged,
                              n_iter, blowup_time)
-    return Trajectory(g, config.dt, cur, is_real=u0.is_real), report
+    return Trajectory(g, config.dt, cur), report
 
 
 def integral_residual(traj: Trajectory, u0: SpectralField,
@@ -212,5 +210,4 @@ def dilation_rescale(traj: Trajectory, lam_d: float, alpha: float) -> Trajectory
             f"resampling across incompatible grids is not supported")
     target = TorusGrid(new_period, traj.grid.mode_count)
     scale = lam_d ** (2.0 * alpha)
-    return Trajectory(target, traj.dt / scale, scale * traj.coeffs,
-                      is_real=traj.is_real)
+    return Trajectory(target, traj.dt / scale, scale * traj.coeffs)

@@ -184,13 +184,15 @@ def _check_domains(name: str, exp: "_Experiment",
     if len(ns) < exp.least:
         bad("N_max", f"needs {exp.least} or more N values, got {len(ns)} "
                      f"from N_min={cfg['N_min']} to N_max={cfg['N_max']}")
-    # the largest grid the config admits, sized before any is allocated
-    grid = exp.grid(cfg, cfg.get("N_max"))
-    if grid.mode_count > BUDGET_MODES:
+    # the last member's grid is the largest the sweep builds; its mode
+    # count is weighed in log2, before the grid or 2^N is formed
+    n_last = ns[-1] if len(ns) else None
+    log2_modes = exp.shape(cfg, n_last)[1]
+    if log2_modes > BUDGET_MODES.bit_length() - 1:
         key = "modes" if "modes" in cfg else "N_max"
-        raise BudgetError(f"{name}.{key}: the grid needs 2^"
-                          f"{grid.mode_count.bit_length() - 1} modes, over "
-                          f"the desk budget {BUDGET_MODES}")
+        raise BudgetError(f"{name}.{key}: the grid needs 2^{log2_modes} "
+                          f"modes, over the desk budget {BUDGET_MODES}")
+    grid = exp.grid(cfg, n_last)
     if "dt" in cfg:
         # the solver's own rules: a whole step count, and the stability
         # gate on this grid's band
@@ -205,10 +207,9 @@ def _check_domains(name: str, exp: "_Experiment",
     # FamilySpec's on the first and last seeds, the band on the last; the
     # spacing does not depend on N
     try:
-        first, last = exp.seed(cfg, ns[0]), exp.seed(cfg, ns[-1])
+        first, last = exp.seed(cfg, ns[0]), exp.seed(cfg, n_last)
     except DomainError as exc:
         bad("N_min", str(exc))
-    grid = exp.grid(cfg, ns[-1])
     try:
         require_spacing(grid, first.family, first.family)
     except ResolutionError as exc:
@@ -250,17 +251,15 @@ def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
 
 # ------------------------------------------------------------- pipelines
 
-def _grid(cfg, n: Optional[int] = None) -> TorusGrid:
-    return TorusGrid(cfg["lambda"], cfg["modes"])
+def _shape(cfg, n: Optional[int] = None) -> Tuple[float, int]:
+    """The config's one grid: period lambda and log2 of modes."""
+    return cfg["lambda"], cfg["modes"].bit_length() - 1
 
 
 def _run_semigroup(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    # the complex transform of real noise: Hermitian to round-off, so the
-    # field is declared real
-    noise = rng.standard_normal(g.mode_count).astype(complex)
-    u = SpectralField(g, to_spectral(noise, g).coeffs)
+    u = to_spectral(rng.standard_normal(g.mode_count), g)
     a, t, tol = cfg["alpha"], cfg["T"], cfg["tol"]
     direct = u.coeffs * np.exp(-t * np.abs(g.frequencies) ** (2.0 * a))
     scale = float(np.max(np.abs(direct)))
@@ -279,7 +278,7 @@ def _run_semigroup(cfg, exp) -> Tuple[dict, dict]:
 
 
 def _run_besov_scaling(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     part = make_partition(g)
     a, s, q = cfg["alpha"], cfg["s"], cfg["q"]
     ns = list(exp.sweep(cfg))
@@ -295,7 +294,7 @@ def _run_besov_scaling(cfg, exp) -> Tuple[dict, dict]:
 
 
 def _run_smoothing(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     ts = [cfg["T"] / 100.0, cfg["T"] / 10.0, cfg["T"]]
     consts = [smoothing_constant(cfg["s"], cfg["s2"], cfg["alpha"], t, grid=g)
               for t in ts]
@@ -313,13 +312,12 @@ def _family_datum(cfg, exp, grid: TorusGrid, part) -> SpectralField:
     target = cfg["norm"]
     if target > 0.0:
         cur = besov_norm(u0, cfg["s"], cfg["q"], part).value
-        u0 = SpectralField(grid, u0.coeffs * (target / cur),
-                           is_real=u0.is_real)
+        u0 = u0.copy_with(u0.coeffs * (target / cur))
     return u0
 
 
 def _run_solve(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     part = make_partition(g)
     u0 = _family_datum(cfg, exp, g, part)
     conf = SolveConfig(alpha=cfg["alpha"], sign=cfg["sign"], T=cfg["T"],
@@ -375,7 +373,7 @@ def _classify_cell(alpha: float, s: float, ns, grid: TorusGrid,
 
 
 def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     ns = list(exp.sweep(cfg))
     if not cfg["sweep"]:
         rhos, slope = _classify_cell(cfg["alpha"], cfg["s"], ns, g, cfg["T"])
@@ -412,7 +410,7 @@ def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
 
 
 def _run_cascade(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     ns = list(exp.sweep(cfg))
     reports = [verify_cascade(n, cfg["alpha"], cfg["T"], g,
                               quad_tol=cfg["tol"]) for n in ns]
@@ -430,7 +428,7 @@ def _run_cascade(cfg, exp) -> Tuple[dict, dict]:
 
 
 def _run_endpoint_cascade(cfg, exp) -> Tuple[dict, dict]:
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     part = make_partition(g)
     a, q, t = cfg["alpha"], cfg["q"], cfg["T"]
     ns = list(exp.sweep(cfg))
@@ -448,10 +446,10 @@ def _run_endpoint_cascade(cfg, exp) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _inflation_grid(cfg, n: int) -> TorusGrid:
+def _inflation_shape(cfg, n: int) -> Tuple[float, int]:
     """norm-inflation's grid for member N: period 4 and 2^(N+4) modes, so
     the band pi 2^(N+2) holds the bump's support [2^N, 2^(N+2)]."""
-    return TorusGrid(4.0, 2 ** (n + 4))
+    return 4.0, n + 4
 
 
 def _run_norm_inflation(cfg, exp) -> Tuple[dict, dict]:
@@ -507,7 +505,7 @@ def _run_norm_inflation(cfg, exp) -> Tuple[dict, dict]:
 def _run_dilation_check(cfg, exp) -> Tuple[dict, dict]:
     a = cfg["alpha"]
     cfg = dict(cfg, s=-a, q=2.0)  # the dilation bound lives in B^{-alpha,2}
-    g = _grid(cfg)
+    g = exp.grid(cfg)
     part = make_partition(g)
     u0 = _family_datum(cfg, exp, g, part)
     conf = SolveConfig(alpha=a, sign=cfg["sign"], T=cfg["T"], dt=cfg["dt"],
@@ -552,8 +550,12 @@ class _Dyadic(Sequence):
     def __len__(self) -> int:
         return len(self.js)
 
-    def __getitem__(self, i: int) -> int:
-        return 2 ** self.js[i]
+    def __getitem__(self, i: int):
+        j = self.js[i]
+        # 2^1024 is past the float range, so past any grid band: such a
+        # member reads as inf, which validation refuses on the band,
+        # before the integer is formed
+        return 2 ** j if j < 1024 else math.inf
 
 
 def _configured_seed(cfg, n: int) -> FamilySpec:
@@ -573,9 +575,14 @@ class _Experiment:
     least: int = 0  # how many N values the verdicts need
     # the FamilySpec of member n's seed, built on grid(cfg, n); None: none
     seed: Optional[Callable[[dict, int], FamilySpec]] = None
-    grid: Callable[[dict, Optional[int]], TorusGrid] = _grid
+    # member n's grid as (period, log2 of the mode count)
+    shape: Callable[[dict, Optional[int]], Tuple[float, int]] = _shape
     # (key, ok, need) rules that narrow _KEYS' rules for this experiment
     rules: Tuple[Tuple[str, Callable[[object], bool], str], ...] = ()
+
+    def grid(self, cfg, n: Optional[int] = None) -> TorusGrid:
+        period, log2_modes = self.shape(cfg, n)
+        return TorusGrid(period, 2 ** log2_modes)
 
 
 EXPERIMENTS: Dict[str, _Experiment] = {
@@ -627,7 +634,7 @@ EXPERIMENTS: Dict[str, _Experiment] = {
         _run_norm_inflation, sweep=lambda cfg: _direct(cfg, 2), least=2,
         seed=lambda cfg, n: FamilySpec("phiNR", n, cfg["alpha"],
                                        r=n ** -0.25 * math.log(n)),
-        grid=_inflation_grid),
+        shape=_inflation_shape),
     "dilation-check": _Experiment(
         {"family": "phiN", "N_min": 8, "alpha": 0.75, "norm": 0.01,
          "sign": 1, "lambda": 32.0, "modes": 512, "dt": 0.015625,

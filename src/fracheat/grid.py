@@ -9,17 +9,16 @@ The dictionary to the continuum objects is
 so integrals int dxi become (2*pi/lam) * sum_k and every norm below is the
 lattice Riemann sum of its continuum counterpart.
 
-The dealiased product carries its band |k| <= M/3 in one of three bases,
+Every field is real: its coefficients are Hermitian, c_{-k} = conj(c_k).
+The dealiased product carries its band |k| <= M/3 in one of two bases,
 chosen by field_basis from the symmetry of the inputs alone:
 
-- ComplexBasis, for complex fields: the full spectrum and M complex
-  samples, through full complex transforms.
-- HalfBasis, for real fields: modes 0..M/3 (the rfft half) and M real
+- HalfBasis, for any field: modes 0..M/3 (the rfft half) and M real
   samples, through band_half (real samples to modes) and band_samples
   (modes to real samples; a short half is zero-padded, which is the 2/3
   rule when it stops at M/3). hermitian_full widens a half to the full
   fft-order spectrum with its conjugate mirror.
-- CosineBasis, for real fields whose coefficients are exactly even (real,
+- CosineBasis, for fields whose coefficients are exactly even (real,
   and c_{-k} == c_k bit for bit): real cosine coefficients on modes
   0..M/3 and M/2 real samples, through cosine_band and cosine_samples.
   These are Makhoul's DCT-II/DCT-III pair over one length-M/2 rfft or
@@ -176,23 +175,21 @@ def _mirror_gap(c: np.ndarray, a: int, b: int) -> float:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of one field, fft order, complex128.
+    """Fourier coefficients of one real field, fft order, complex128.
 
-    is_real declares that the physical samples are real; construction then
-    enforces Hermitian symmetry c_{-k} = conj(c_k) to 1e-12 relative.
-    A builder that knows its nonzero modes passes their fft-order slices
-    as _windows (every other mode must be 0). The field keeps them, sorted
-    and with overlaps merged, as its support, and the checks, the Besov
-    block sums and the test-function pairing read those windows only.
-    Without _windows the support is the whole spectrum, the single window
-    [0, M). Every field made from new coefficients (copy_with, the
-    semigroup, the products, to_spectral) declares none, so a support can
-    never outlive the coefficients it was declared for.
+    Construction enforces Hermitian symmetry c_{-k} = conj(c_k) to 1e-12
+    relative. A builder that knows its nonzero modes passes their
+    fft-order slices as _windows (every other mode must be 0). The field
+    keeps them, sorted and with overlaps merged, as its support, and the
+    checks, the Besov block sums and the test-function pairing read those
+    windows only. Without _windows the support is the whole spectrum, the
+    single window [0, M). Every field made from new coefficients
+    (copy_with, the semigroup, the products, to_spectral) declares none,
+    so a support can never outlive the coefficients it was declared for.
     """
 
     grid: TorusGrid
     coeffs: np.ndarray
-    is_real: bool = True
     _: KW_ONLY
     _windows: InitVar[Optional[tuple]] = None
     _support: tuple = dataclass_field(init=False, compare=False, repr=False)
@@ -209,16 +206,13 @@ class SpectralField:
                 raise DomainError("non-finite coefficient")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_support", support)
-        if self.is_real:
-            defect = _hermitian_defect(c, support)
-            if defect > HERMITIAN_RTOL:
-                raise SymmetryError(
-                    f"field declared real but Hermitian defect {defect:.3e} "
-                    f"exceeds {HERMITIAN_RTOL:.0e}")
+        defect = _hermitian_defect(c, support)
+        if defect > HERMITIAN_RTOL:
+            raise SymmetryError(f"Hermitian defect {defect:.3e} exceeds "
+                                f"{HERMITIAN_RTOL:.0e}")
 
-    def copy_with(self, coeffs: np.ndarray, is_real: bool | None = None) -> "SpectralField":
-        return SpectralField(self.grid, coeffs,
-                             self.is_real if is_real is None else is_real)
+    def copy_with(self, coeffs: np.ndarray) -> "SpectralField":
+        return SpectralField(self.grid, coeffs)
 
 
 def _merged(windows) -> tuple:
@@ -235,22 +229,21 @@ def _merged(windows) -> tuple:
 
 
 def to_spectral(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Forward transform: c_k = (1/M) sum_n samples_n e^{-i xi_k x_n}."""
+    """Forward transform of real samples:
+    c_k = (1/M) sum_n samples_n e^{-i xi_k x_n}."""
     s = np.asarray(samples)
     if s.shape != (grid.mode_count,):
         raise DimensionError(
             f"sample array has shape {s.shape}, grid wants ({grid.mode_count},)")
-    m = grid.mode_count
     if np.iscomplexobj(s):
-        return SpectralField(grid, np.fft.fft(s) / m, is_real=False)
-    return SpectralField(grid, hermitian_full(band_half(s, grid, m // 2), grid))
+        raise SymmetryError(f"samples must be real, got {s.dtype}")
+    return SpectralField(grid, hermitian_full(
+        band_half(s, grid, grid.mode_count // 2), grid))
 
 
 def from_spectral(field: SpectralField) -> np.ndarray:
-    """Inverse transform to physical samples; real (checked) if field.is_real."""
+    """Inverse transform to physical samples, real (checked)."""
     samples = np.fft.ifft(field.coeffs) * field.grid.mode_count
-    if not field.is_real:
-        return samples
     scale = max(1.0, float(np.max(np.abs(samples.real))))
     residue = float(np.max(np.abs(samples.imag))) / scale
     if residue > 1e-10:
@@ -283,18 +276,15 @@ def dealiased_square(field: SpectralField) -> SpectralField:
     Modes |k| > M/3 are zeroed on input and output, so the retained band
     carries the exact convolution of the retained input band.
     """
-    c = dealiased_product_coeffs(field.coeffs, field.coeffs, field.grid,
-                                 real_inputs=field.is_real)
-    return field.copy_with(c, is_real=field.is_real)
+    c = dealiased_product_coeffs(field.coeffs, field.coeffs, field.grid)
+    return field.copy_with(c)
 
 
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """Pointwise product of two fields on one grid, 2/3-rule dealiased."""
     if u.grid != v.grid:
         raise DimensionError("fields live on different grids")
-    real = u.is_real and v.is_real
-    c = dealiased_product_coeffs(u.coeffs, v.coeffs, u.grid, real_inputs=real)
-    return SpectralField(u.grid, c, is_real=real)
+    return u.copy_with(dealiased_product_coeffs(u.coeffs, v.coeffs, u.grid))
 
 
 def band_half(samples: np.ndarray, grid: TorusGrid, k_max: int,
@@ -387,47 +377,6 @@ def cosine_band(samples: np.ndarray, grid: TorusGrid, k_max: int,
     return out
 
 
-def _zero_aliased(c: np.ndarray, m: int) -> np.ndarray:
-    c[..., m // 3 + 1:m - m // 3] = 0.0  # exactly the modes |k| > M/3
-    return c
-
-
-class ComplexBasis:
-    """A complex field's dealiased band: the full fft-order spectrum and M
-    complex samples, through full complex transforms. The coefficients of
-    a march need no widening."""
-
-    coeff_dtype = sample_dtype = np.complex128
-
-    def __init__(self, grid: TorusGrid):
-        self.grid = grid
-        self.width = self.n_samples = grid.mode_count
-
-    def band(self, full):
-        return full
-
-    def samples(self, c, out=None, work=None):
-        if out is None:
-            out = np.array(c, dtype=np.complex128)
-        else:
-            out[...] = c
-        _zero_aliased(out, self.grid.mode_count)
-        return np.fft.ifft(out, norm="forward", out=out)
-
-    def coeffs(self, samples, out=None, work=None):
-        out = np.fft.fft(samples, norm="forward", out=out)
-        return _zero_aliased(out, self.grid.mode_count)
-
-    def widen(self, c, out=None):
-        if out is None:
-            return c
-        out[...] = c
-        return out
-
-    def workspace(self):
-        return None
-
-
 class HalfBasis:
     """A real field's dealiased band: modes 0..M/3 of the rfft half and M
     real samples, widened with the conjugate mirror."""
@@ -497,22 +446,20 @@ def _exactly_even(c: np.ndarray) -> bool:
             and np.array_equal(c.real[..., 1:], c.real[..., :0:-1]))
 
 
-def field_basis(grid: TorusGrid, real: bool, *coeffs: np.ndarray):
-    """The basis of a product of fields with these full fft-order spectra:
-    cosine when they are real and every one is exactly even, the rfft half
-    when they are real, complex otherwise."""
-    if not real:
-        return ComplexBasis(grid)
+def field_basis(grid: TorusGrid, *coeffs: np.ndarray):
+    """The basis of a product of real fields with these full fft-order
+    spectra: cosine when every one is exactly even, the rfft half
+    otherwise."""
     if all(_exactly_even(c) for c in coeffs):
         return CosineBasis(grid)
     return HalfBasis(grid)
 
 
-def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray, grid: TorusGrid,
-                             real_inputs: bool = True) -> np.ndarray:
-    """Raw-array core of the dealiased product (no field validation), in
-    the basis field_basis picks for the inputs."""
-    basis = field_basis(grid, real_inputs, *((cu,) if cv is cu else (cu, cv)))
+def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray,
+                             grid: TorusGrid) -> np.ndarray:
+    """Raw-array core of the dealiased product of real fields (no field
+    validation), in the basis field_basis picks for the inputs."""
+    basis = field_basis(grid, *((cu,) if cv is cu else (cu, cv)))
     a = basis.samples(basis.band(cu))
     b = a if cv is cu else basis.samples(basis.band(cv))
     return basis.widen(basis.coeffs(a * b))

@@ -121,11 +121,11 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
     Exponential-trapezoid time stepping on the shared Duhamel structure;
     quadratic sources are 2/3-rule dealiased. The basis is picked once from
     the seed's symmetry (grid.field_basis), and u^2 keeps it: the terms
-    k >= 2 of a real seed march on modes 0..M/3 only, as real cosine
-    coefficients over M/2 samples when the seed is exactly even and as an
-    rfft half over M samples otherwise. Each term's arithmetic does not
-    depend on the horizon, so the march to T' = i dt gives node i of the
-    march to T bit for bit.
+    k >= 2 march on modes 0..M/3 only, as real cosine coefficients over M/2
+    samples when the seed is exactly even and as an rfft half over M
+    samples otherwise. Each term's arithmetic does not depend on the
+    horizon, so the march to T' = i dt gives node i of the march to T bit
+    for bit.
 
     The march runs on two threads as a wavefront. A_k at step i needs
     A_1..A_{k-1} at step i and A_k at step i-1, so the calling thread
@@ -140,8 +140,8 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
     the barrier and is raised here after both have stopped.
 
     After both stages have stopped, this thread widens the terms to the
-    full spectrum, exactly Hermitian for a real seed. With final it widens
-    each term in turn into one reused buffer and returns
+    full spectrum, exactly Hermitian. With final it widens each term in
+    turn into one reused buffer and returns
     [final(A_1(T)), ..., final(A_K(T))]; final may be a traced layer, and
     the field it is given is valid during its call only: the next term
     overwrites its coefficients. Without final each term is returned as a
@@ -155,7 +155,7 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
     decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
     # sigma folds into the step exactly: it is -1, 0 or 1
     half = 0.5 * config.dt * float(config.sign)
-    basis = field_basis(grid, seed.is_real, seed.coeffs)
+    basis = field_basis(grid, seed.coeffs)
     # terms k >= 2 are dealiased sources, carried in the basis and widened
     # only when read
     band_decay = decay[:basis.width]
@@ -244,12 +244,12 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
     if final is None:
         # the march's buffers are this call's own: each term keeps one
         ends = [a1] + [basis.widen(coeff[k]) for k in range(2, n_terms + 1)]
-        return [SpectralField(grid, c, is_real=seed.is_real) for c in ends]
+        return [SpectralField(grid, c) for c in ends]
     # A_1's buffer is the reused one: each later term is widened over it
-    results = [final(SpectralField(grid, a1, is_real=seed.is_real))]
+    results = [final(SpectralField(grid, a1))]
     for k in range(2, n_terms + 1):
         basis.widen(coeff[k], out=a1)
-        results.append(final(SpectralField(grid, a1, is_real=seed.is_real)))
+        results.append(final(SpectralField(grid, a1)))
     return results
 
 

@@ -12,12 +12,12 @@ from .grid import SpectralField, TorusGrid
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fields at times t_i = i*dt, i = 0..n-1, one row of coefficients per node."""
+    """Real fields at times t_i = i*dt, i = 0..n-1, one row of coefficients
+    per node; a row is checked Hermitian when field(i) reads it."""
 
     grid: TorusGrid
     dt: float
     coeffs: np.ndarray  # (n, M) complex128, fft order per row
-    is_real: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -37,4 +37,4 @@ class Trajectory:
         return self.dt * np.arange(self.n_nodes)
 
     def field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i].copy(), is_real=self.is_real)
+        return SpectralField(self.grid, self.coeffs[i].copy())

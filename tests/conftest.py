@@ -74,7 +74,7 @@ def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> 
     peak = np.max(np.abs(coeffs))
     if peak > 0:
         coeffs = coeffs * (scale / peak)
-    return SpectralField(grid, coeffs, is_real=True)
+    return SpectralField(grid, coeffs)
 
 
 def picard_nodes(seed: SpectralField, n_terms: int, config,
@@ -94,6 +94,4 @@ def picard_nodes(seed: SpectralField, n_terms: int, config,
             config, T=row * stride * config.dt))
         for term, end in zip(rows, ends):
             term[row] = end.coeffs
-    return [Trajectory(seed.grid, stride * config.dt, term,
-                       is_real=end.is_real)
-            for term, end in zip(rows, ends)]
+    return [Trajectory(seed.grid, stride * config.dt, term) for term in rows]

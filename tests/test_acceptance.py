@@ -178,8 +178,8 @@ def test_ac07_duhamel_order():
         dt = 2.0 ** -k
         n = round(1.0 / dt)
         c = np.zeros(16, dtype=complex)
-        c[2] = 1.0
-        src = Trajectory(g, dt, np.tile(c, (n + 1, 1)), is_real=False)
+        c[2] = c[-2] = 1.0
+        src = Trajectory(g, dt, np.tile(c, (n + 1, 1)))
         got = duhamel_integrate(src, alpha).coeffs[-1, 2].real
         dts.append(dt)
         errs.append(abs(got - exact))
@@ -196,7 +196,7 @@ def test_ac08_small_data_contraction():
     part = make_partition(g)
     u0 = build_family(FamilySpec("phiN", 8, 0.75), g)
     b = besov_norm(u0, -0.75, 2.0, part).value
-    u0 = SpectralField(g, u0.coeffs * (0.01 / b), is_real=u0.is_real)
+    u0 = SpectralField(g, u0.coeffs * (0.01 / b))
     cfg = SolveConfig(alpha=0.75, sign=1, T=1.0, dt=1 / 64,
                       picard_tol=1e-8, s=-0.75, q=2.0)
     traj, rep = fixed_point_solve(u0, cfg)
@@ -228,8 +228,8 @@ def test_ac09_smoothing_law():
         ratios = []
         for k in range(600):
             c = np.zeros(gp.mode_count, dtype=complex)
-            c[k] = 1.0
-            f = SpectralField(gp, c, is_real=False)
+            c[k] = c[-k] = 1.0
+            f = SpectralField(gp, c)
             ratios.append(sobolev_norm(apply_semigroup(f, t, 1.0), 0.0)
                           / sobolev_norm(f, -1.0))
         xi_best = gp.frequencies[int(np.argmax(ratios))]

@@ -380,7 +380,7 @@ def free_trajectory(u0, alpha, dt, n):
     sym = fractional_symbol(u0.grid, alpha)
     ts = dt * np.arange(n)
     coeffs = u0.coeffs[None, :] * np.exp(-np.outer(ts, sym))
-    return Trajectory(u0.grid, dt, coeffs, is_real=u0.is_real)
+    return Trajectory(u0.grid, dt, coeffs)
 
 
 def test_spacetime_norms_constant_and_decaying():
@@ -437,19 +437,22 @@ def test_x_norm_properties():
 
 
 def test_modulation_indicator_window():
-    # uhat = indicator of [0, 2^N): a single full window; lattice value is
-    # sqrt(count)/lam -> 2^{N/2}/sqrt(2 pi) in the refinement limit
+    # uhat = indicator of (-2^N, 2^N): two full windows, [0, 2^N) with
+    # count modes and [-2^N, 0) with the count - 1 mirrors; lattice value
+    # (sqrt(count) + sqrt(count - 1))/sqrt(lam) -> 2 2^{N/2}/sqrt(2 pi) in
+    # the refinement limit
     nw = 3
     for lam, m in ((2.0**8, 1024), (2.0**10, 4096)):
         g = TorusGrid(lam, m)
         xi = g.frequencies
-        c = ((xi >= 0) & (xi < 2.0**nw)).astype(complex) / lam
-        u = SpectralField(g, c, is_real=False)
+        c = (np.abs(xi) < 2.0**nw).astype(complex) / lam
+        u = SpectralField(g, c)
         count = int(np.sum((xi >= 0) & (xi < 2.0**nw)))
-        exact = np.sqrt(count / lam)
+        exact = np.sqrt(count / lam) + np.sqrt((count - 1) / lam)
         got = modulation_norm(u, nw)
         assert got == pytest.approx(exact, rel=1e-13)
-        assert got == pytest.approx(2.0 ** (nw / 2) / np.sqrt(2 * np.pi), rel=2e-3)
+        assert got == pytest.approx(2 * 2.0 ** (nw / 2) / np.sqrt(2 * np.pi),
+                                    rel=2e-3)
 
 
 def test_modulation_window_errors():

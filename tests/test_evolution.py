@@ -23,7 +23,7 @@ def free_trajectory(u0: SpectralField, alpha: float, dt: float,
     sym = np.abs(u0.grid.frequencies) ** (2.0 * alpha)
     ts = dt * np.arange(n_steps + 1)
     rows = u0.coeffs[None, :] * np.exp(-np.outer(ts, sym))
-    return Trajectory(u0.grid, dt, rows, is_real=u0.is_real)
+    return Trajectory(u0.grid, dt, rows)
 
 
 def test_duhamel_zero_and_constant_sources():
@@ -51,8 +51,8 @@ def test_duhamel_halving_slope():
     for dt in dts:
         n = round(1.0 / dt)
         c = np.zeros(16, dtype=complex)
-        c[2] = 1.0
-        src = Trajectory(g, dt, np.tile(c, (n + 1, 1)), is_real=False)
+        c[2] = c[-2] = 1.0
+        src = Trajectory(g, dt, np.tile(c, (n + 1, 1)))
         got = duhamel_integrate(src, alpha).coeffs[-1, 2].real
         errs.append(abs(got - exact))
     slope = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
@@ -108,7 +108,7 @@ def small_datum(g: TorusGrid, alpha: float, target: float,
     u0 = random_band_field(g, 40, rng, scale=1.0)
     part = make_partition(g)
     b = besov_norm(u0, -alpha, 2.0, part).value
-    return SpectralField(g, u0.coeffs * (target / b), is_real=True)
+    return SpectralField(g, u0.coeffs * (target / b))
 
 
 def test_small_data_contraction_and_residual():
@@ -154,7 +154,7 @@ def test_mass_evolution_consistency():
     u0 = small_datum(g, 0.75, 0.01, rng)
     traj, rep = fixed_point_solve(u0, cfg)
     assert rep.converged
-    f0 = np.array([dealiased_product_coeffs(row, row, g, real_inputs=True)[0]
+    f0 = np.array([dealiased_product_coeffs(row, row, g)[0]
                    for row in traj.coeffs])
     dc = np.diff(traj.coeffs[:, 0])
     quad = cfg.sign * 0.5 * cfg.dt * (f0[:-1] + f0[1:])
@@ -188,8 +188,7 @@ def test_product_inequality_constant():
             for _ in range(100):
                 u = random_band_field(g, band, rng)
                 v = random_band_field(g, band, rng)
-                pc = dealiased_product_coeffs(u.coeffs, v.coeffs, g,
-                                              real_inputs=True)
+                pc = dealiased_product_coeffs(u.coeffs, v.coeffs, g)
                 p = SpectralField(g, pc)
                 r = sobolev_norm(p, 2 * s0 - 0.5) / (
                     sobolev_norm(u, s0) * sobolev_norm(v, s0))

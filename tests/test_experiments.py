@@ -170,26 +170,37 @@ def test_validate_config_domain_checks():
 
 
 def test_validate_config_reads_only_the_ends_of_a_sweep():
-    # a long N range is refused on its last seed's band; the sweep's values
-    # are made when read, so validation builds no list of them
-    for name, n_max in (("endpoint-cascade", 10 ** 6), ("cascade", 20000)):
+    # a long N range is refused on its last seed's band, or on its last
+    # grid's budget; the sweep's values are made when read, so validation
+    # builds no list of them, and a dyadic member 2^N or a grid's 2^N modes
+    # is weighed by its exponent, so no such integer is formed
+    band = (ConfigError, "N_max: .*up to inf")
+    for name, n_max, (exc, match) in (
+            ("endpoint-cascade", 10 ** 6, band),
+            ("cascade", 20000, band),
+            ("cascade", 10 ** 7, band),
+            ("besov-scaling", 10 ** 7, band),
+            ("norm-inflation", 10 ** 7,
+             (BudgetError, r"N_max: the grid needs 2\^10000004 modes"))):
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError,
-                               match=f"{name}.N_max: .*up to inf"):
+            with pytest.raises(exc, match=f"{name}.{match}"):
                 validate_config(name, {"N_max": str(n_max)})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20, (name, peak)
+        assert peak < 2 ** 20, (name, n_max, peak)
 
 
 def test_validate_config_budget_gate():
     with pytest.raises(BudgetError):
         validate_config("semigroup-check", {"modes": str(2 ** 23)})
-    # norm-inflation sizes its own grids from N_max, checked up front
+    # norm-inflation sizes its own grids from its sweep's last N, checked
+    # up front: N_max = 19 runs N = 8, 10, ..., 18, whose last grid has
+    # 2^22 modes, the budget
     with pytest.raises(BudgetError, match="N_max"):
-        validate_config("norm-inflation", {"N_max": "19"})
+        validate_config("norm-inflation", {"N_max": "20"})
+    validate_config("norm-inflation", {"N_max": "19"})
     validate_config("norm-inflation", {"N_max": "18"})
 
 

@@ -19,7 +19,7 @@ from fracheat.families import (
     psi_hat_profile,
     verify_cascade,
 )
-from fracheat.grid import TorusGrid, from_spectral, l2_norm
+from fracheat.grid import TorusGrid, _hermitian_defect, from_spectral, l2_norm
 from fracheat.picard import second_iterate_hat
 
 from conftest import sample_points
@@ -45,7 +45,7 @@ def test_phi_n_l2_norm_and_symmetry():
     g = TorusGrid(2.0**9, 2**17)
     for n, alpha in [(16, 0.6), (512, 1.0)]:
         f = build_phi_N(n, alpha, g)
-        assert f.is_real
+        assert _hermitian_defect(f.coeffs) == 0.0
         # even: c_k = c_{-k}
         assert np.allclose(f.coeffs, np.roll(f.coeffs[::-1], 1), atol=0)
         assert np.all(f.coeffs.imag == 0)
@@ -122,7 +122,7 @@ def test_psi_n_block_structure():
     alpha = 0.75
     for n in (3, 5):
         psi = build_psi_N(n, alpha, g)
-        assert psi.is_real
+        assert _hermitian_defect(psi.coeffs) == 0.0
         scale = 1.0 / np.sqrt(n)
         for j in range(n, 2 * n + 1):
             phi_j = build_phi_N(2**j, alpha, g)
@@ -161,7 +161,7 @@ def test_phi_nr_norms_and_support():
         g = TorusGrid(lam, 2 ** (n + 4))
         part = make_partition(g)
         f = build_phi_NR(n, r, g, part)
-        assert f.is_real
+        assert _hermitian_defect(f.coeffs) == 0.0
         a = np.abs(g.frequencies)
         inside = (a > 2.0**n) & (a < 2.0 ** (n + 2))
         assert np.all(f.coeffs[~inside & (a != 2.0**n) & (a != 2.0 ** (n + 2))]

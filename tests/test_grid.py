@@ -6,7 +6,6 @@ from scipy.integrate import simpson
 from fracheat.errors import DimensionError, DomainError, SymmetryError
 from fracheat.grid import (
     CosineBasis,
-    ComplexBasis,
     HalfBasis,
     SpectralField,
     TorusGrid,
@@ -66,13 +65,22 @@ def test_roundtrip_and_parseval():
     for _ in range(20):
         samples = rng.standard_normal(g.mode_count)
         f = to_spectral(samples, g)
-        assert f.is_real
         assert _hermitian_defect(f.coeffs) == 0.0
         back = from_spectral(f)
         assert np.allclose(back, samples, atol=1e-12)
         # (lam/M) sum samples^2 = lam sum |c|^2
         phys = (g.period / g.mode_count) * np.sum(samples**2)
         assert l2_norm(f) ** 2 == pytest.approx(phys, rel=1e-12)
+
+
+def test_to_spectral_refuses_complex_samples():
+    # every field is real: complex samples are refused up front, even
+    # when their imaginary parts are zero
+    g = TorusGrid(4.0, 64)
+    for dtype in (np.complex64, np.complex128):
+        with pytest.raises(SymmetryError,
+                           match=f"samples must be real, got {np.dtype(dtype)}"):
+            to_spectral(np.ones(64, dtype=dtype), g)
 
 
 def test_field_validation_errors():
@@ -82,12 +90,11 @@ def test_field_validation_errors():
     bad = np.zeros(64, dtype=complex)
     bad[3] = 1.0  # no conjugate partner at -3
     with pytest.raises(SymmetryError):
-        SpectralField(g, bad, is_real=True)
-    SpectralField(g, bad, is_real=False)  # fine as a complex field
+        SpectralField(g, bad)
     nan = np.zeros(64, dtype=complex)
     nan[0] = np.nan
     with pytest.raises(DomainError):
-        SpectralField(g, nan, is_real=False)
+        SpectralField(g, nan)
 
 
 def test_fractional_symbol():
@@ -178,11 +185,9 @@ def test_dealiased_square_against_brute_convolution():
     assert np.allclose(got, want, atol=1e-13 * max(1.0, np.max(np.abs(want))))
     # a 2-row stack in each basis, as the solver squares a trajectory
     even = _even_spectrum(0.1 * rng.standard_normal(33), g).astype(complex)
-    for stack, real in (([u.coeffs, v.coeffs], True),
-                        ([u.coeffs, v.coeffs], False),
-                        ([even, 2.0 * even], True)):
+    for stack in ([u.coeffs, v.coeffs], [even, 2.0 * even]):
         stack = np.array(stack)
-        got = dealiased_product_coeffs(stack, stack, g, real_inputs=real)
+        got = dealiased_product_coeffs(stack, stack, g)
         assert got.shape == stack.shape
         for row, c in zip(got, stack):
             want = brute_dealiased_product(c, c, g)
@@ -294,17 +299,16 @@ def test_field_basis_follows_exact_symmetry():
     rng = np.random.default_rng(SEED)
     even = _even_spectrum(rng.standard_normal(33), g).astype(complex)
     u = to_spectral(rng.standard_normal(64), g)
-    assert isinstance(field_basis(g, True, even), CosineBasis)
-    assert isinstance(field_basis(g, True, even, even[None, :]), CosineBasis)
-    assert isinstance(field_basis(g, True, even, u.coeffs), HalfBasis)
-    assert isinstance(field_basis(g, False, even), ComplexBasis)
+    assert isinstance(field_basis(g, even), CosineBasis)
+    assert isinstance(field_basis(g, even, even[None, :]), CosineBasis)
+    assert isinstance(field_basis(g, even, u.coeffs), HalfBasis)
     off = even.copy()
     off[5] = np.nextafter(off[5].real, np.inf)
-    assert isinstance(field_basis(g, True, off), HalfBasis)
+    assert isinstance(field_basis(g, off), HalfBasis)
     odd = even.copy()
     odd[5] += 1e-300j
     odd[-5] -= 1e-300j
-    assert isinstance(field_basis(g, True, odd), HalfBasis)
+    assert isinstance(field_basis(g, odd), HalfBasis)
 
 
 def test_even_products_against_brute_convolution():
@@ -418,7 +422,6 @@ def test_out_buffers_leave_values_unchanged():
     m = g.mode_count
     rng = np.random.default_rng(SEED)
     s = rng.standard_normal((2, m))
-    z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
 
     def junk(shape, dtype=complex):
         return np.full(shape, 9.0 + 9.0j if np.dtype(dtype).kind == "c"
@@ -436,8 +439,7 @@ def test_out_buffers_leave_values_unchanged():
         assert hermitian_full(want, g, out=out) is out
         np.testing.assert_array_equal(out, hermitian_full(want, g))
     # each basis's transform pair and widening, on a 2-row stack
-    for basis, data in ((ComplexBasis(g), z), (HalfBasis(g), s),
-                        (CosineBasis(g), s[:, :m // 2])):
+    for basis, data in ((HalfBasis(g), s), (CosineBasis(g), s[:, :m // 2])):
         want = basis.coeffs(data)
         out = junk((2, basis.width), basis.coeff_dtype)
         assert basis.coeffs(data, out=out) is out

@@ -108,3 +108,38 @@ def test_no_runner_raises_a_config_error():
               for func in runners for name, line in _raised_names(func)
               if name in ("ConfigError", "BudgetError")]
     assert not raised, raised
+
+
+def _fft_references(tree: ast.Module):
+    # (what, line) of every import of scipy or numpy.fft, every np.fft or
+    # numpy.fft attribute and every name scipy
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scipy" or \
+                        alias.name.startswith("numpy.fft"):
+                    yield f"import {alias.name}", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "scipy" or \
+                    node.module.startswith("numpy.fft") or \
+                    (node.module == "numpy"
+                     and any(a.name == "fft" for a in node.names)):
+                yield f"from {node.module} import ...", node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            yield f"{node.value.id}.fft", node.lineno
+        elif isinstance(node, ast.Name) and node.id == "scipy":
+            yield "scipy", node.lineno
+
+
+def test_only_grid_calls_an_fft():
+    # every transform goes through grid's primitives and bases, so one
+    # module holds the package's FFTs: the semigroup check's noise, say,
+    # goes through to_spectral, not through an FFT of its own
+    stray = [f"fracheat.{name}: {what} (line {line})"
+             for name in MODULES if name != "grid"
+             for what, line in _fft_references(
+                 ast.parse((SRC / f"{name}.py").read_text()))]
+    assert not stray, stray
+    assert list(_fft_references(ast.parse((SRC / "grid.py").read_text())))

@@ -204,25 +204,27 @@ def test_picard_a2_matches_closed_form():
     assert np.max(np.abs(a2.coeffs.imag)) < 1e-15
 
 
-@pytest.mark.parametrize("is_real", [True, False])
+@pytest.mark.parametrize("kind", [True, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, is_real):
+def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, kind):
     # the march and duhamel_integrate share one stepper and one dealiased
-    # product, so A_2 = sigma L(A_1^2) holds bit for bit; the square is taken
-    # node by node through the field API
+    # product, so A_2 = sigma L(A_1^2) holds bit for bit, in the rfft-half
+    # basis (a real seed on |k| <= 40) and in the cosine basis (the exactly
+    # even band indicator); the square is taken node by node through the
+    # field API
     g = TorusGrid(16.0, 256)
-    if is_real:
+    if kind == "even":
         seed = seed_field_on(g)
     else:
         rng = np.random.default_rng(SEED)
         band = np.abs(wavenumbers(g)) <= 40
-        c = (rng.standard_normal(256) + 1j * rng.standard_normal(256)) * band
-        seed = SpectralField(g, 0.1 * c, is_real=False)
+        c = to_spectral(rng.standard_normal(256), g).coeffs * band
+        seed = SpectralField(g, 0.1 * c)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
     a1, a2 = picard_nodes(seed, 2, cfg)
     sq = np.array([dealiased_square(a1.field(i)).coeffs
                    for i in range(a1.n_nodes)])
-    src = Trajectory(g, a1.dt, sq, is_real=is_real)
+    src = Trajectory(g, a1.dt, sq)
     np.testing.assert_array_equal(
         a2.coeffs, sign * duhamel_integrate(src, 0.75).coeffs)
 
@@ -230,7 +232,8 @@ def test_picard_a2_is_the_duhamel_integral_of_a1_squared(sign, is_real):
 def _picard_terms_oracle(seed, n_terms, config):
     """Node-by-node coefficients of A_1..A_n_terms from the full-spectrum
     march: every term on all M modes, complex transforms, and the source of
-    A_k summed over every split (k1, k - k1)."""
+    A_k summed over every split (k1, k - k1); the samples keep their real
+    part."""
     g = seed.grid
     m = g.mode_count
     keep = dealias_mask(g)
@@ -238,8 +241,7 @@ def _picard_terms_oracle(seed, n_terms, config):
     half = 0.5 * config.dt * config.sign
 
     def to_phys(c):
-        s = np.fft.ifft(np.where(keep, c, 0.0)) * m
-        return s.real if seed.is_real else s
+        return (np.fft.ifft(np.where(keep, c, 0.0)) * m).real
 
     def source(k):
         total = sum(phys[k1] * phys[k - k1] for k1 in range(1, k))
@@ -263,48 +265,43 @@ def _picard_terms_oracle(seed, n_terms, config):
     return [np.array(rows) for rows in stored]
 
 
-def _full_band_seed(is_real):
-    """A full-band seed on the 256-mode test grid: real (True), complex
-    (False), or real with an exactly even spectrum ("even")."""
+def _full_band_seed(kind):
+    """A full-band real seed on the 256-mode test grid: generic (True) or
+    with an exactly even spectrum ("even")."""
     g = TorusGrid(16.0, 256)
     rng = np.random.default_rng(SEED)
-    if is_real == "even":
+    if kind == "even":
         return SpectralField(g, hermitian_full(
             0.3 / 16 * rng.standard_normal(129), g))
-    if is_real:
-        return to_spectral(0.3 * rng.standard_normal(256), g)
-    z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    return SpectralField(g, 0.3 * np.fft.fft(z) / 256, is_real=False)
+    return to_spectral(0.3 * rng.standard_normal(256), g)
 
 
 @pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [2, 5])
-@pytest.mark.parametrize("is_real", [True, False, "even"])
+@pytest.mark.parametrize("kind", [True, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_match_full_spectrum_oracle(sign, is_real, n_terms,
+def test_picard_terms_match_full_spectrum_oracle(sign, kind, n_terms,
                                                  stride):
     # a full-band seed, so A_1 carries modes beyond the dealiased band that
-    # the real march keeps only in A_1 itself
-    seed = _full_band_seed(is_real)
+    # the march keeps only in A_1 itself
+    seed = _full_band_seed(kind)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
     terms = picard_nodes(seed, n_terms, cfg, stride)
     want = [ref[::stride] for ref in _picard_terms_oracle(seed, n_terms, cfg)]
     for term, ref in zip(terms, want):
-        assert term.is_real == bool(is_real)
         assert term.coeffs.shape == ref.shape
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(term.coeffs - ref)) <= 1e-13 * scale
-        if is_real:
-            assert all(_hermitian_defect(row) == 0.0 for row in term.coeffs)
-        if is_real == "even":
+        assert all(_hermitian_defect(row) == 0.0 for row in term.coeffs)
+        if kind == "even":
             assert _exactly_even(term.coeffs)
 
 
-@pytest.mark.parametrize("is_real", [True, False, "even"])
-def test_picard_terms_buffers_do_not_leak(is_real):
+@pytest.mark.parametrize("kind", [True, "even"])
+def test_picard_terms_buffers_do_not_leak(kind):
     # the march reuses its sample, source and transform buffers; results
     # must not depend on a previous call or alias one another
-    seed = _full_band_seed(is_real)
+    seed = _full_band_seed(kind)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     first = picard_terms(seed, 5, cfg)
     second = picard_terms(seed, 5, cfg)
@@ -326,7 +323,7 @@ def _picard_terms_serial_oracle(seed, n_terms, config):
     m = grid.mode_count
     decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
     half = 0.5 * config.dt * float(config.sign)
-    basis = field_basis(grid, seed.is_real, seed.coeffs)
+    basis = field_basis(grid, seed.coeffs)
     band_decay = decay[:basis.width]
 
     coeff = [None, seed.coeffs.copy()] + [
@@ -374,12 +371,12 @@ def _picard_terms_serial_oracle(seed, n_terms, config):
 
 @pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 12])
-@pytest.mark.parametrize("is_real", [True, False, "even"])
+@pytest.mark.parametrize("kind", [True, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_equal_serial_oracle(sign, is_real, n_terms, stride):
+def test_picard_terms_equal_serial_oracle(sign, kind, n_terms, stride):
     # the two-stage wavefront does each term's arithmetic of the one-thread
     # march, so the trajectories are bit for bit the same
-    seed = _full_band_seed(is_real)
+    seed = _full_band_seed(kind)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
     terms = picard_nodes(seed, n_terms, cfg, stride)
     want = [ref[::stride]
@@ -458,15 +455,15 @@ def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
 # 16 is the step count, so that stride keeps the endpoints only
 @pytest.mark.parametrize("stride", [1, 16])
 @pytest.mark.parametrize("n_terms", [1, 2, 12])
-@pytest.mark.parametrize("is_real", [True, False, "even"])
+@pytest.mark.parametrize("kind", [True, "even"])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_picard_terms_final_route_equals_trajectory_route(sign, is_real,
+def test_picard_terms_final_route_equals_trajectory_route(sign, kind,
                                                           n_terms, stride):
     # final= sees each term as the default route returns it: the full-band
-    # A_1 first, then every later term widened over the same buffer, in all
-    # three bases (the cosine basis's self-mirrored modes included); and
+    # A_1 first, then every later term widened over the same buffer, in
+    # both bases (the cosine basis's self-mirrored modes included); and
     # that is the last node of picard_nodes' trajectory at either stride
-    seed = _full_band_seed(is_real)
+    seed = _full_band_seed(kind)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=sign)
     assert cfg.n_steps == 16
     terms = picard_terms(seed, n_terms, cfg)
@@ -478,7 +475,6 @@ def test_picard_terms_final_route_equals_trajectory_route(sign, is_real,
     ends = picard_terms(seed, n_terms, cfg, final=lambda u: u.coeffs.copy())
     assert len(ends) == n_terms
     for end, term in zip(ends, terms):
-        assert term.is_real == bool(is_real)
         np.testing.assert_array_equal(end, term.coeffs)
 
 
@@ -514,11 +510,11 @@ def test_picard_terms_final_runs_on_the_calling_thread():
     assert seen == [threading.current_thread()] * 6
 
 
-@pytest.mark.parametrize("is_real", [True, "even"])
-def test_picard_terms_widen_on_the_calling_thread_only(monkeypatch, is_real):
-    # both real bases widen through grid.hermitian_full; that full-spectrum
+@pytest.mark.parametrize("kind", [True, "even"])
+def test_picard_terms_widen_on_the_calling_thread_only(monkeypatch, kind):
+    # both bases widen through grid.hermitian_full; that full-spectrum
     # work happens after the march, on this thread, on either route
-    seed = _full_band_seed(is_real)
+    seed = _full_band_seed(kind)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     seen = []
     real_fn = grid.hermitian_full
