@@ -14,13 +14,12 @@ exactly 0, so the block table behind the Besov norms and x_norm sums over
 the windows alone, and multiplier(j) rebuilds the full-length block, bit
 for bit the dense one, on each call without keeping it.
 
-besov_norm reads the field's support (SpectralField keeps the windows a
-seed builder declares, and a dense field has the single window [0, M)):
-it squares |c| on those windows only and sums each block over its
-windows clipped to them. The clipped blocks are evaluated afresh by the
-same rule, on the clipped windows alone, so a seed's norm never builds
-the whole table, which the whole window [0, M) reads and a partition
-keeps.
+besov_norm reads the field's pieces (a windowed seed's few windows, or a
+dense field's single piece [0, M)): it squares |c| on each piece and sums
+each block over its windows clipped to the piece. The clipped blocks are
+evaluated afresh by the same rule, on the clipped windows alone, so a
+seed's norm never builds the whole table, which the whole window [0, M)
+reads and a partition keeps.
 """
 
 from __future__ import annotations
@@ -166,20 +165,21 @@ def _lq(values: np.ndarray, q: float) -> float:
     return float(np.sum(values**q) ** (1.0 / q))
 
 
-def _block_l2_table(coeffs2d: np.ndarray, partition: DyadicPartition,
-                    support: tuple) -> np.ndarray:
+def _block_l2_table(pieces, n_nodes: int,
+                    partition: DyadicPartition) -> np.ndarray:
     """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}.
 
-    support lists disjoint fft-order windows that hold every nonzero mode.
-    |c|^2 is formed on them alone, and each block is summed over its
-    windows clipped to them; a dense field's single window [0, M) sums
-    each block over its whole windows.
+    pieces lists disjoint (window, values) pairs, values of shape
+    (n_nodes, window length), that hold every nonzero mode. |c|^2 is
+    formed on them alone, and each block is summed over its windows
+    clipped to them; a dense single piece [0, M) sums each block over its
+    whole windows.
     """
     lam = partition.grid.period
-    table = np.zeros((len(partition.block_range), coeffs2d.shape[0]))
-    for window in support:
+    table = np.zeros((len(partition.block_range), n_nodes))
+    for window, values in pieces:
         a = window.start
-        mags = np.abs(coeffs2d[:, window]) ** 2
+        mags = np.abs(values) ** 2
         for row, block in zip(table, partition._blocks_on(window)):
             for sl, vals in block:
                 row += mags[:, sl.start - a:sl.stop - a] @ (vals * vals)
@@ -189,11 +189,12 @@ def _block_l2_table(coeffs2d: np.ndarray, partition: DyadicPartition,
 def besov_norm(u: SpectralField, s: float, q: float,
                partition: DyadicPartition) -> NormReport:
     """B^{s,q} norm: l^q over j of 2^{js} ||Delta_j u||_{L^2}, summed on
-    the field's support."""
+    the field's pieces."""
     q = _check_q(q)
     if u.grid != partition.grid:
         raise DimensionError("field and partition live on different grids")
-    raw = _block_l2_table(u.coeffs[None, :], partition, u._support)[:, 0]
+    raw = _block_l2_table([(sl, v[None, :]) for sl, v in u.pieces], 1,
+                          partition)[:, 0]
     js = np.arange(-1, partition.j_max + 1)
     weighted = 2.0 ** (js * s) * raw
     return NormReport("besov", s, q, None, _lq(weighted, q), tuple(weighted))
@@ -231,8 +232,8 @@ def spacetime_besov_norm(traj: Trajectory, p: float, s: float, q: float,
         raise DomainError(f"time exponent p must be 1, 2, or inf, got {p}")
     if traj.grid != partition.grid:
         raise DimensionError("trajectory and partition live on different grids")
-    table = _block_l2_table(traj.coeffs, partition,
-                            (slice(0, traj.grid.mode_count),))
+    table = _block_l2_table(((slice(0, traj.grid.mode_count), traj.coeffs),),
+                            traj.n_nodes, partition)
     return _spacetime_report(table, traj.dt, p, s, q, partition)
 
 
@@ -244,8 +245,8 @@ def x_norm(traj: Trajectory, s: float, q: float, alpha: float,
     q = _check_q(q)
     if traj.grid != partition.grid:
         raise DimensionError("trajectory and partition live on different grids")
-    table = _block_l2_table(traj.coeffs, partition,
-                            (slice(0, traj.grid.mode_count),))
+    table = _block_l2_table(((slice(0, traj.grid.mode_count), traj.coeffs),),
+                            traj.n_nodes, partition)
     a = _spacetime_report(table, traj.dt, np.inf, s, q, partition)
     b = _spacetime_report(table, traj.dt, 2, s + alpha, q, partition)
     return a.value + b.value

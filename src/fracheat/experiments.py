@@ -614,7 +614,10 @@ EXPERIMENTS: Dict[str, _Experiment] = {
         {"alpha": 0.75, "s": -0.5, "sweep": 0, "N_min": 7, "N_max": 12,
          "lambda": 64.0, "modes": 2048, "T": 0.5, "tol": 0.25,
          "seed": DEFAULT_SEED},
-        _run_wellposed, sweep=_direct, least=3),
+        _run_wellposed, sweep=_direct, least=3,
+        # its datum is the amplitude-one phi_N pair on +-[N, N+2], whose
+        # support does not depend on alpha
+        seed=lambda cfg, n: FamilySpec("phiN", n, cfg["alpha"])),
     "cascade": _Experiment(
         {"alpha": 0.75, "N_min": 9, "N_max": 12, "T": 0.5, "lambda": 32.0,
          "modes": 2 ** 17, "tol": 0.05, "seed": DEFAULT_SEED},

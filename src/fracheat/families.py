@@ -140,18 +140,14 @@ def _seed(grid: TorusGrid, parts) -> SpectralField:
     """Real seed with c_k = profile(xi_k) / lambda, where parts lists
     (lo, hi, profile) triples with disjoint supports lo <= |xi| <= hi.
 
-    Each profile is evaluated on its support windows only and every other
-    mode is zero, so the coefficients equal those of the dense profile
-    bit for bit, and the field's checks read those windows alone. The
-    windows are added in, as 0 + v == v: a margin mode one part's window
-    shares with another's gains only that part's 0."""
-    coeffs = np.zeros(grid.mode_count, dtype=complex)
-    windows = []
-    for lo, hi, profile in parts:
-        for sl in grid.support_windows(lo, hi):
-            coeffs[sl] += profile(grid.frequencies_at(sl)) / grid.period
-            windows.append(sl)
-    return SpectralField(grid, coeffs, _windows=tuple(windows))
+    Each profile is evaluated on its support windows only, and those
+    values are the field's pieces: every other mode is zero and is never
+    allocated. The coefficients equal those of the dense profile bit for
+    bit. A margin mode one part's window shares with another's gains only
+    that part's 0, as the pieces are added (0 + v == v)."""
+    return SpectralField.windowed(grid, [
+        (sl, profile(grid.frequencies_at(sl)) / grid.period)
+        for lo, hi, profile in parts for sl in grid.support_windows(lo, hi)])
 
 
 def build_phi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
@@ -274,13 +270,14 @@ def pairing_lower_bound(n: int, alpha: float, t: float,
     require_band(grid, support_top("phiN", n), "pairing_lower_bound")
     require_spacing(grid, "phiN", "pairing_lower_bound")
     profile = phi_hat_profile(n, alpha)
-    # the modes |xi_k| <= 1/2, in fft order, found on their windows
+    # the field is A_2 on the modes |xi_k| <= 1/2 and 0 on the other modes
+    # of their windows, which are its pieces
     windows = grid.support_windows(0.0, 0.5)
-    low = np.concatenate([
-        sl.start + np.flatnonzero(np.abs(grid.frequencies_at(sl)) <= 0.5)
-        for sl in windows])
-    za = second_iterate_hat(profile, t, grid.frequencies_at(low), alpha, grid)
-    coeffs = np.zeros(grid.mode_count, dtype=complex)
-    coeffs[low] = za / (4.0 * np.pi * grid.period)
-    field = SpectralField(grid, coeffs, _windows=windows)
+    xi = np.concatenate([grid.frequencies_at(sl) for sl in windows])
+    low = np.abs(xi) <= 0.5
+    values = np.zeros(xi.size, dtype=complex)
+    values[low] = second_iterate_hat(profile, t, xi[low], alpha, grid) / (
+        4.0 * np.pi * grid.period)
+    ends = np.cumsum([sl.stop - sl.start for sl in windows])[:-1]
+    field = SpectralField.windowed(grid, zip(windows, np.split(values, ends)))
     return pair_with_test_function(field, lambda xi: eta(4.0 * xi))

@@ -35,10 +35,9 @@ so a march can reuse its buffers; the values do not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
-from dataclasses import field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -142,74 +141,124 @@ class TorusGrid:
         return tuple(windows)
 
 
-def _hermitian_defect(coeffs: np.ndarray,
-                      windows: Optional[tuple] = None) -> float:
-    """max_k |c_k - conj(c_{-k})| / max(1, max_k |c_k|).
+def _values_at(pieces, a: int, b: int) -> np.ndarray:
+    """The coefficients at fft indices a..b-1 of a field given as disjoint
+    (window, values) pieces, 0 off them. A view of one piece's values when
+    that piece holds the whole range (always so for a dense field), else a
+    fresh array of length b - a."""
+    for sl, v in pieces:
+        if sl.start <= a and b <= sl.stop:
+            return v[a - sl.start:b - sl.start]
+    out = np.zeros(b - a, dtype=np.complex128)
+    for sl, v in pieces:
+        lo, hi = max(sl.start, a), min(sl.stop, b)
+        if lo < hi:
+            out[lo - a:hi - a] = v[lo - sl.start:hi - sl.start]
+    return out
 
-    windows, if given, are fft-order slices that hold every nonzero mode;
-    both maxima are then taken over them alone, which gives the same value
-    as the whole spectrum: a mode off the windows is 0, and its pair with a
+
+def _hermitian_defect(pieces, m: int) -> float:
+    """max_k |c_k - conj(c_{-k})| / max(1, max_k |c_k|) of the M = m mode
+    field given as disjoint (window, values) pieces, 0 off them.
+
+    Both maxima are taken over the pieces alone, which gives the same value
+    as the whole spectrum: a mode off the pieces is 0, and its pair with a
     mode k on them is |c_k - conj(c_{-k})| read from mode k.
     """
-    if windows is None:
-        windows = (slice(0, coeffs.shape[0]),)
     gap = scale = 0.0
-    for sl in windows:
-        gap = max(gap, _mirror_gap(coeffs, sl.start, sl.stop))
-        scale = max(scale, float(np.max(np.abs(coeffs[sl]), initial=0.0)))
+    for sl, v in pieces:
+        gap = max(gap, _mirror_gap(pieces, m, sl.start, v))
+        scale = max(scale, float(np.max(np.abs(v), initial=0.0)))
     return gap / max(1.0, scale)
 
 
-def _mirror_gap(c: np.ndarray, a: int, b: int) -> float:
-    # max |c_k - conj(c_{-k})| over fft indices a..b-1; mode 0 is its own
-    # mirror, and |c0 - conj(c0)| = 2|Im c0|
-    m = c.shape[0]
+def _mirror_gap(pieces, m: int, a: int, v: np.ndarray) -> float:
+    # max |c_k - conj(c_{-k})| over the fft indices a.. that v holds; mode
+    # 0 is its own mirror, and |c0 - conj(c0)| = 2|Im c0|
+    b = a + v.shape[0]
     gap = 0.0
     if a == 0:
-        gap, a = 2.0 * abs(c[0].imag), 1
+        gap, a, v = 2.0 * abs(v[0].imag), 1, v[1:]
     if a < b:
-        gap = max(gap, float(np.max(np.abs(
-            c[a:b] - np.conj(c[m - b + 1:m - a + 1][::-1])))))
+        mirror = _values_at(pieces, m - b + 1, m - a + 1)
+        gap = max(gap, float(np.max(np.abs(v - np.conj(mirror[::-1])))))
     return gap
 
 
-@dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients of one real field, fft order, complex128.
 
+    A field is held as pieces: disjoint (window, values) pairs, sorted by
+    window start, where window is a unit-step fft-order slice and every
+    mode off the windows is 0. SpectralField(grid, coeffs) is the dense
+    field, the single piece [0, M) whose values are its coeffs array, not
+    a copy. SpectralField.windowed(grid, pieces) is a field that lives on
+    a few windows: it allocates only their modes, and the Hermitian check,
+    the Besov block sums and the test-function pairing read its pieces
+    alone. Its dense coeffs are built from the pieces the first time a
+    reader asks for them, and then kept. Every field made from new
+    coefficients (copy_with, the semigroup, the products, to_spectral) is
+    dense, so pieces can never outlive the coefficients they were made
+    for.
+
     Construction enforces Hermitian symmetry c_{-k} = conj(c_k) to 1e-12
-    relative. A builder that knows its nonzero modes passes their
-    fft-order slices as _windows (every other mode must be 0). The field
-    keeps them, sorted and with overlaps merged, as its support, and the
-    checks, the Besov block sums and the test-function pairing read those
-    windows only. Without _windows the support is the whole spectrum, the
-    single window [0, M). Every field made from new coefficients
-    (copy_with, the semigroup, the products, to_spectral) declares none,
-    so a support can never outlive the coefficients it was declared for.
+    relative, and finite values.
     """
 
-    grid: TorusGrid
-    coeffs: np.ndarray
-    _: KW_ONLY
-    _windows: InitVar[Optional[tuple]] = None
-    _support: tuple = dataclass_field(init=False, compare=False, repr=False)
-
-    def __post_init__(self, _windows):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        m = self.grid.mode_count
+    def __init__(self, grid: TorusGrid, coeffs: np.ndarray):
+        c = np.asarray(coeffs, dtype=np.complex128)
+        m = grid.mode_count
         if c.shape != (m,):
             raise DimensionError(
                 f"coefficient array has shape {c.shape}, grid wants ({m},)")
-        support = (slice(0, m),) if _windows is None else _merged(_windows)
-        for sl in support:
-            if not np.all(np.isfinite(c[sl].view(np.float64))):
+        self._settle(grid, ((slice(0, m), c),))
+        self.__dict__["coeffs"] = c
+
+    @classmethod
+    def windowed(cls, grid: TorusGrid, pieces) -> "SpectralField":
+        """The field sum_i zero-extended values_i, from (window, values)
+        pairs. Overlapping windows are joined, and their values added
+        into zeros in the order given, so on a mode that only one piece
+        reaches with a nonzero value that value is kept exactly (0 + v)."""
+        m = grid.mode_count
+        pieces = tuple(pieces)
+        for sl, v in pieces:
+            if (not isinstance(sl, slice) or sl.step not in (None, 1)
+                    or not 0 <= sl.start <= sl.stop <= m):
+                raise IndexError(f"need unit-step windows in [0, {m})")
+            if np.shape(v) != (sl.stop - sl.start,):
+                raise DimensionError(
+                    f"piece values have shape {np.shape(v)}, window "
+                    f"{sl.start}:{sl.stop} wants ({sl.stop - sl.start},)")
+        joined = []
+        for w in _merged(sl for sl, _ in pieces):
+            acc = np.zeros(w.stop - w.start, dtype=np.complex128)
+            for sl, v in pieces:
+                if w.start <= sl.start < w.stop:
+                    acc[sl.start - w.start:sl.stop - w.start] += v
+            joined.append((w, acc))
+        field = cls.__new__(cls)
+        field._settle(grid, tuple(joined))
+        return field
+
+    def _settle(self, grid: TorusGrid, pieces: tuple) -> None:
+        for _, v in pieces:
+            if not np.all(np.isfinite(v.view(np.float64))):
                 raise DomainError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_support", support)
-        defect = _hermitian_defect(c, support)
+        defect = _hermitian_defect(pieces, grid.mode_count)
         if defect > HERMITIAN_RTOL:
             raise SymmetryError(f"Hermitian defect {defect:.3e} exceeds "
                                 f"{HERMITIAN_RTOL:.0e}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "pieces", pieces)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpectralField is immutable; cannot set {name}")
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The dense spectrum, fft order: the pieces zero-extended."""
+        return _values_at(self.pieces, 0, self.grid.mode_count)
 
     def copy_with(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)
@@ -471,13 +520,13 @@ def pair_with_test_function(field: SpectralField,
 
     Riemann sum of (1/2pi) int fhat(xi) ghat(xi) dxi = int f g dx for real
     even test profiles ghat. ghat is elementwise: it is evaluated, and the
-    sum taken, on each window of the field's support in turn.
+    sum taken, on each of the field's pieces in turn.
     """
     total = 0j
-    for sl in field._support:
+    for sl, v in field.pieces:
         vals = np.asarray(ghat(field.grid.frequencies_at(sl)),
                           dtype=np.complex128)
-        if vals.shape != (sl.stop - sl.start,):
+        if vals.shape != v.shape:
             raise DimensionError("test profile returned wrong shape")
-        total += np.sum(field.coeffs[sl] * vals)
+        total += np.sum(v * vals)
     return float(total.real)

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from fracheat.grid import SpectralField, TorusGrid
+from fracheat.grid import SpectralField, TorusGrid, _hermitian_defect
 from fracheat.picard import picard_terms
 from fracheat.trajectory import Trajectory
 
@@ -59,6 +59,12 @@ def wavenumbers(grid: TorusGrid) -> np.ndarray:
 def dealias_mask(grid: TorusGrid) -> np.ndarray:
     """The 2/3 rule's kept band |k| <= M/3, fft order."""
     return np.abs(wavenumbers(grid)) <= grid.mode_count // 3
+
+
+def hermitian_defect(c: np.ndarray) -> float:
+    """The Hermitian defect of a dense fft-order spectrum, read as the
+    single piece [0, M)."""
+    return _hermitian_defect(((slice(0, c.shape[0]), c),), c.shape[0])
 
 
 def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> SpectralField:

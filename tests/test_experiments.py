@@ -26,7 +26,7 @@ from fracheat.experiments import (
     run_experiment,
     validate_config,
 )
-from fracheat.grid import TorusGrid
+from fracheat.grid import SpectralField, TorusGrid
 
 
 # ------------------------------------------------------------- exponent fit
@@ -138,6 +138,13 @@ def test_validate_config_domain_checks():
         validate_config("cascade", {"N_max": "20"})
     with pytest.raises(ConfigError, match="cascade.N_max: .*up to inf"):
         validate_config("cascade", {"N_max": "2000"})  # 2^2000 overflows
+    # this passed here and failed in the quadrature at N = 99, after the
+    # cells for N = 7..98: the band of (64, 2048) ends at 100.53, inside
+    # +-[99, 101]
+    validate_config("wellposed-scaling", {"N_max": "98"})
+    with pytest.raises(ConfigError,
+                       match="wellposed-scaling.N_max: phiN .*up to 101;"):
+        validate_config("wellposed-scaling", {"N_max": "99"})
     with pytest.raises(ConfigError, match="besov-scaling.lambda: .*spacing"):
         validate_config("besov-scaling", {"lambda": "1"})
     # these passed here and failed in FamilySpec, naming no key
@@ -180,6 +187,8 @@ def test_validate_config_reads_only_the_ends_of_a_sweep():
             ("cascade", 20000, band),
             ("cascade", 10 ** 7, band),
             ("besov-scaling", 10 ** 7, band),
+            ("wellposed-scaling", 10 ** 7,
+             (ConfigError, r"N_max: .*up to 1e\+07;")),
             ("norm-inflation", 10 ** 7,
              (BudgetError, r"N_max: the grid needs 2\^10000004 modes"))):
         tracemalloc.start()
@@ -364,19 +373,25 @@ def test_dilation_check_pipeline():
 def test_windowed_experiments_build_no_whole_lattice(monkeypatch):
     # their seeds, Besov blocks, quadrature nodes, pairings and smoothing
     # probe modes read xi_k through frequencies_at, so none of their grids
-    # (2^19, 2^17, 2^19 and 8192 modes) builds the whole-lattice frequencies
-    built = []
+    # (2^19, 2^17, 2^19 and 8192 modes) builds the whole-lattice
+    # frequencies; and their seeds and pairing fields are read on their
+    # pieces alone, so none is widened to a dense spectrum
+    built, densified = [], []
 
-    def recorded(grid, build=TorusGrid.__dict__["frequencies"].func):
-        built.append(grid.mode_count)
-        return build(grid)
-    prop = cached_property(recorded)
-    prop.__set_name__(TorusGrid, "frequencies")
-    monkeypatch.setattr(TorusGrid, "frequencies", prop)
+    def wrapped(cls, name, log):
+        def recorded(obj, build=cls.__dict__[name].func):
+            log.append(getattr(obj, "grid", obj).mode_count)
+            return build(obj)
+        prop = cached_property(recorded)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    wrapped(TorusGrid, "frequencies", built)
+    wrapped(SpectralField, "coeffs", densified)
     for experiment in ("besov-scaling", "cascade", "endpoint-cascade",
                        "smoothing-check"):
         assert run_experiment(experiment).passed
     assert not built, built
+    assert not densified, densified
 
 
 # ------------------------------------------------------------- persistence

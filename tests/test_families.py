@@ -22,7 +22,7 @@ from fracheat.families import (
 from fracheat.grid import TorusGrid, _hermitian_defect, from_spectral, l2_norm
 from fracheat.picard import second_iterate_hat
 
-from conftest import sample_points
+from conftest import hermitian_defect, sample_points
 
 
 def test_family_spec_validation():
@@ -45,7 +45,8 @@ def test_phi_n_l2_norm_and_symmetry():
     g = TorusGrid(2.0**9, 2**17)
     for n, alpha in [(16, 0.6), (512, 1.0)]:
         f = build_phi_N(n, alpha, g)
-        assert _hermitian_defect(f.coeffs) == 0.0
+        assert _hermitian_defect(f.pieces, g.mode_count) == 0.0
+        assert hermitian_defect(f.coeffs) == 0.0
         # even: c_k = c_{-k}
         assert np.allclose(f.coeffs, np.roll(f.coeffs[::-1], 1), atol=0)
         assert np.all(f.coeffs.imag == 0)
@@ -122,7 +123,8 @@ def test_psi_n_block_structure():
     alpha = 0.75
     for n in (3, 5):
         psi = build_psi_N(n, alpha, g)
-        assert _hermitian_defect(psi.coeffs) == 0.0
+        assert _hermitian_defect(psi.pieces, g.mode_count) == 0.0
+        assert hermitian_defect(psi.coeffs) == 0.0
         scale = 1.0 / np.sqrt(n)
         for j in range(n, 2 * n + 1):
             phi_j = build_phi_N(2**j, alpha, g)
@@ -161,7 +163,8 @@ def test_phi_nr_norms_and_support():
         g = TorusGrid(lam, 2 ** (n + 4))
         part = make_partition(g)
         f = build_phi_NR(n, r, g, part)
-        assert _hermitian_defect(f.coeffs) == 0.0
+        assert _hermitian_defect(f.pieces, g.mode_count) == 0.0
+        assert hermitian_defect(f.coeffs) == 0.0
         a = np.abs(g.frequencies)
         inside = (a > 2.0**n) & (a < 2.0 ** (n + 2))
         assert np.all(f.coeffs[~inside & (a != 2.0**n) & (a != 2.0 ** (n + 2))]
@@ -329,12 +332,13 @@ def _peak_bytes(call):
 
 
 def test_psi_seed_memory_stays_near_its_coefficients():
-    # 2^19 modes: the coefficients take 8 MiB; the seed's checks read its
-    # windows only, where a full-spectrum check takes 16 MiB more
+    # 2^19 modes: dense coefficients would take 8 MiB, and a full-spectrum
+    # check 16 MiB more; the seed allocates and checks its 14 windows of
+    # about 43 modes only
     g = TorusGrid(128.0, 2**19)
     peak = _peak_bytes(lambda: build_psi_N(6, 0.75, g))
-    print(f"build_psi_N(6) peak on 2^19 modes: {peak / 2**20:.1f} MiB")
-    assert peak < 10 * 2**20
+    print(f"build_psi_N(6) peak on 2^19 modes: {peak / 2**20:.3f} MiB")
+    assert peak < 2**20
 
 
 def test_psi_second_iterate_memory_stays_off_the_lattice():

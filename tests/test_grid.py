@@ -28,8 +28,8 @@ from fracheat.grid import (
     to_spectral,
 )
 
-from conftest import (SEED, dealias_mask, random_band_field, sample_points,
-                      wavenumbers)
+from conftest import (SEED, dealias_mask, hermitian_defect, random_band_field,
+                      sample_points, wavenumbers)
 
 
 def test_grid_validation():
@@ -65,7 +65,7 @@ def test_roundtrip_and_parseval():
     for _ in range(20):
         samples = rng.standard_normal(g.mode_count)
         f = to_spectral(samples, g)
-        assert _hermitian_defect(f.coeffs) == 0.0
+        assert hermitian_defect(f.coeffs) == 0.0
         back = from_spectral(f)
         assert np.allclose(back, samples, atol=1e-12)
         # (lam/M) sum samples^2 = lam sum |c|^2
@@ -216,7 +216,7 @@ def test_band_primitives_against_masked_complex_fft(m):
             z = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
             for row, zrow in zip(np.atleast_2d(hermitian_full(z, g)),
                                  np.atleast_2d(band_samples(z, g))):
-                assert _hermitian_defect(row) == 0.0
+                assert hermitian_defect(row) == 0.0
                 assert np.allclose(from_spectral(SpectralField(g, row)), zrow,
                                    atol=1e-13)
 
@@ -355,24 +355,26 @@ def test_hermitian_defect_equals_roll_oracle(m):
     imag_nyquist[m // 2] += 7e-4j
     cases.append(imag_nyquist)
     for c in cases:
-        assert _hermitian_defect(c) == _roll_hermitian_defect(c)
-    assert _hermitian_defect(hermitian) == 0.0
-    assert _hermitian_defect(imag_dc) > 0.0
-    assert _hermitian_defect(imag_nyquist) > 0.0
+        assert hermitian_defect(c) == _roll_hermitian_defect(c)
+    assert hermitian_defect(hermitian) == 0.0
+    assert hermitian_defect(imag_dc) > 0.0
+    assert hermitian_defect(imag_nyquist) > 0.0
 
 
 def _windowed_seed(g, parts):
     # a seed as the family builders make one: each part, exactly 0 off
-    # lo <= |xi| <= hi, evaluated on its support windows; every other mode 0
+    # lo <= |xi| <= hi, evaluated on its support windows as one piece each;
+    # the dense spectrum is those pieces added into zeros
     c = np.zeros(g.mode_count, dtype=complex)
-    windows = []
+    pieces = []
     for lo, hi in parts:
         for sl in g.support_windows(lo, hi):
             xi = g.frequencies[sl]
             inside = (np.abs(xi) >= lo) & (np.abs(xi) <= hi)
-            c[sl] += np.where(inside, 2.0 + np.cos(xi), 0.0)
-            windows.append(sl)
-    return c, tuple(windows)
+            values = np.where(inside, 2.0 + np.cos(xi), 0.0)
+            c[sl] += values
+            pieces.append((sl, values))
+    return pieces, c
 
 
 # lam = pi (spacing 2): [2, 4] and [6, 8] have windows that share the
@@ -386,33 +388,49 @@ def _windowed_seed(g, parts):
 ])
 def test_windowed_hermitian_defect_equals_full(lam, m, parts):
     g = TorusGrid(lam, m)
-    c, windows = _windowed_seed(g, parts)
-    assert _hermitian_defect(c, windows) == _hermitian_defect(c) == 0.0
-    SpectralField(g, c, _windows=windows)
+    pieces, c = _windowed_seed(g, parts)
+    u = SpectralField.windowed(g, pieces)
+    # the joined pieces hold the dense spectrum bit for bit, margins too
+    np.testing.assert_array_equal(u.coeffs, c)
+    assert _hermitian_defect(u.pieces, m) == hermitian_defect(c) == 0.0
     # off symmetry inside the windows, mode 0 and -M/2 included
     rng = np.random.default_rng(SEED)
     on = np.zeros(m, dtype=bool)
-    for sl in windows:
+    for sl, _ in u.pieces:
         on[sl] = True
     for _ in range(4):
         off = c.copy()
         off[on] += (rng.standard_normal(on.sum())
                     + 1j * rng.standard_normal(on.sum()))
-        assert _hermitian_defect(off, windows) == _hermitian_defect(off) > 0.0
+        off_pieces = tuple((sl, off[sl]) for sl, _ in u.pieces)
+        assert _hermitian_defect(off_pieces, m) == hermitian_defect(off) > 0.0
 
 
 @pytest.mark.parametrize("mode", [5, -5, 16, -16])
 def test_windowed_check_still_refuses_asymmetric_seed(mode):
     # one mirror mode off by 1e-11 relative, inside the windows
     g = TorusGrid(37.0, 1024)
-    c, windows = _windowed_seed(g, [(0.5, 3.0), (40.0, 86.9)])
+    pieces, c = _windowed_seed(g, [(0.5, 3.0), (40.0, 86.9)])
     assert c[mode] != 0.0
     scale = np.max(np.abs(c))
     c[mode] += 1e-11 * scale
+    # the windows do not overlap, so each piece reads the changed spectrum
     with pytest.raises(SymmetryError):
-        SpectralField(g, c, _windows=windows)
+        SpectralField.windowed(g, [(sl, c[sl]) for sl, _ in pieces])
     with pytest.raises(SymmetryError):
         SpectralField(g, c)
+
+
+def test_windowed_field_refuses_malformed_pieces():
+    g = TorusGrid(37.0, 64)
+    ones = np.ones(4)
+    for window in (slice(-4, 0), slice(62, 66), slice(0, 8, 2)):
+        with pytest.raises(IndexError):
+            SpectralField.windowed(g, [(window, ones)])
+    with pytest.raises(DimensionError):
+        SpectralField.windowed(g, [(slice(0, 5), ones)])
+    with pytest.raises(DomainError):
+        SpectralField.windowed(g, [(slice(0, 1), [np.nan])])
 
 
 def test_out_buffers_leave_values_unchanged():

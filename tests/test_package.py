@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +146,26 @@ def test_only_grid_calls_an_fft():
                  ast.parse((SRC / f"{name}.py").read_text()))]
     assert not stray, stray
     assert list(_fft_references(ast.parse((SRC / "grid.py").read_text())))
+
+
+# the experiments of perfbench's desk-suite workload, run at their defaults
+DESK_SUITE = ("semigroup-check", "besov-scaling", "smoothing-check", "solve",
+              "wellposed-scaling", "cascade", "endpoint-cascade",
+              "dilation-check")
+
+
+def test_desk_suite_never_imports_numpy_ma():
+    # numpy.ma adds about 1 MB of resident memory and 10 ms of cold start
+    # to every process that loads it (np.unique loads it on numpy 2.4). A
+    # fresh process is asked, since pytest may have imported it here.
+    code = ("import sys\n"
+            "from fracheat.experiments import run_experiment\n"
+            f"for name in {DESK_SUITE!r}:\n"
+            "    assert run_experiment(name).passed, name\n"
+            "    assert 'numpy.ma' not in sys.modules, name\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -15,9 +15,8 @@ from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate, trapezoid_step
 from fracheat.families import build_phi_NR
 from fracheat.grid import (SpectralField, TorusGrid, _exactly_even,
-                           _hermitian_defect, dealiased_product,
-                           dealiased_square, field_basis, fractional_symbol,
-                           hermitian_full, to_spectral)
+                           dealiased_product, dealiased_square, field_basis,
+                           fractional_symbol, hermitian_full, to_spectral)
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
@@ -29,8 +28,8 @@ from fracheat.picard import (
 )
 from fracheat.trajectory import Trajectory
 
-from conftest import (SEED, dealias_mask, picard_nodes, raised_within,
-                      wavenumbers)
+from conftest import (SEED, dealias_mask, hermitian_defect, picard_nodes,
+                      raised_within, wavenumbers)
 
 
 def test_theta_closed_forms():
@@ -292,7 +291,7 @@ def test_picard_terms_match_full_spectrum_oracle(sign, kind, n_terms,
         assert term.coeffs.shape == ref.shape
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(term.coeffs - ref)) <= 1e-13 * scale
-        assert all(_hermitian_defect(row) == 0.0 for row in term.coeffs)
+        assert all(hermitian_defect(row) == 0.0 for row in term.coeffs)
         if kind == "even":
             assert _exactly_even(term.coeffs)
 
