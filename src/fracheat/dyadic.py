@@ -344,13 +344,16 @@ def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
     observed ratio; the values are those of modulation_norm and
     dealiased_product on the full fields.
 
-    Two workers, the calling thread and one more, take the pairs in turn:
-    each pair is one (2, M) draw from the one generator, made under a lock
-    so the draws keep stream order whichever worker takes them, and is
-    carried as rfft halves in that worker's buffers, allocated once per
-    call. The maximum over pairs does not depend on which worker saw which
-    pair, so the result does not either.
+    Two worker threads take the pairs in turn while the calling thread
+    waits (_threads.run_two): each pair is one (2, M) draw from the one
+    generator, made under a lock so the draws keep stream order whichever
+    worker takes them, and is carried as rfft halves in that worker's
+    buffers, allocated once per call. The maximum over pairs does not
+    depend on which worker saw which pair, so the result does not either.
+    n_pairs must be at least 1: C0 divides the inflation time T_N.
     """
+    if n_pairs < 1:
+        raise DomainError(f"need at least one pair, got {n_pairs}")
     index = _window_index(grid, n_window)
     m = grid.mode_count
     k_in, k_out = m // 8, m // 3

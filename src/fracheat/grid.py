@@ -144,11 +144,12 @@ class TorusGrid:
 def _values_at(pieces, a: int, b: int) -> np.ndarray:
     """The coefficients at fft indices a..b-1 of a field given as disjoint
     (window, values) pieces, 0 off them. A view of one piece's values when
-    that piece holds the whole range (always so for a dense field), else a
-    fresh array of length b - a."""
+    that piece holds the whole range (always so for a dense field, whose
+    one piece may carry leading row axes), else a fresh array of length
+    b - a."""
     for sl, v in pieces:
         if sl.start <= a and b <= sl.stop:
-            return v[a - sl.start:b - sl.start]
+            return v[..., a - sl.start:b - sl.start]
     out = np.zeros(b - a, dtype=np.complex128)
     for sl, v in pieces:
         lo, hi = max(sl.start, a), min(sl.stop, b)
@@ -479,27 +480,40 @@ class CosineBasis(HalfBasis):
         return np.empty(self.grid.mode_count // 4 + 1, dtype=np.complex128)
 
 
-_EVEN_PROBE = 8  # low modes _exactly_even looks at before the whole spectrum
+_EVEN_PROBE = 8  # low modes of each piece _exactly_even looks at first
 
 
-def _exactly_even(c: np.ndarray) -> bool:
-    # real coefficients with c_{-k} == c_k bit for bit, on every row. The
-    # probe is part of the full test, so it only turns a generic field
-    # down before the whole spectrum is read; the answer is the same.
-    p = min(_EVEN_PROBE, c.shape[-1])
-    head = c[..., :p]
-    if (np.any(head.imag) or not np.array_equal(
-            head.real[..., 1:], c.real[..., :c.shape[-1] - p:-1])):
-        return False
-    return (not np.any(c.imag)
-            and np.array_equal(c.real[..., 1:], c.real[..., :0:-1]))
+def _exactly_even(pieces, m: int) -> bool:
+    """Whether the M = m mode field given as disjoint (window, values)
+    pieces, 0 off them, has real coefficients with c_{-k} == c_k bit for
+    bit (on every row, for a dense piece with leading row axes).
+
+    Each piece's first _EVEN_PROBE modes are checked before the whole
+    piece. The probe is part of the full test, so it only turns a generic
+    field down before the whole spectrum is read; the answer is the same.
+    """
+    for probe in (_EVEN_PROBE, None):
+        for sl, v in pieces:
+            v = v[..., :probe]
+            a, b = sl.start, sl.start + v.shape[-1]
+            if np.any(v.imag):
+                return False
+            if a == 0:  # mode 0 is its own mirror
+                a, v = 1, v[..., 1:]
+            if a < b and not np.array_equal(v.real, _values_at(
+                    pieces, m - b + 1, m - a + 1).real[..., ::-1]):
+                return False
+    return True
 
 
-def field_basis(grid: TorusGrid, *coeffs: np.ndarray):
-    """The basis of a product of real fields with these full fft-order
-    spectra: cosine when every one is exactly even, the rfft half
-    otherwise."""
-    if all(_exactly_even(c) for c in coeffs):
+def field_basis(grid: TorusGrid, *spectra):
+    """The basis of a product of real fields: cosine when every one is
+    exactly even, the rfft half otherwise. Each spectrum is a field's
+    pieces, or a full fft-order array (any leading axes), which is read as
+    its single piece [0, M)."""
+    m = grid.mode_count
+    if all(_exactly_even(((slice(0, m), s),) if isinstance(s, np.ndarray)
+                         else s, m) for s in spectra):
         return CosineBasis(grid)
     return HalfBasis(grid)
 

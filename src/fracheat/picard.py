@@ -25,8 +25,8 @@ from ._threads import run_two
 from .config import SolveConfig
 from .errors import DomainError, ResolutionError
 from .evolution import trapezoid_step
-from .grid import (SpectralField, TorusGrid, check_alpha, field_basis,
-                   fractional_symbol)
+from .grid import (SpectralField, TorusGrid, _values_at, check_alpha,
+                   field_basis)
 
 R = TypeVar("R")
 
@@ -120,48 +120,83 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
 
     Exponential-trapezoid time stepping on the shared Duhamel structure;
     quadratic sources are 2/3-rule dealiased. The basis is picked once from
-    the seed's symmetry (grid.field_basis), and u^2 keeps it: the terms
-    k >= 2 march on modes 0..M/3 only, as real cosine coefficients over M/2
-    samples when the seed is exactly even and as an rfft half over M
-    samples otherwise. Each term's arithmetic does not depend on the
-    horizon, so the march to T' = i dt gives node i of the march to T bit
-    for bit.
+    the symmetry of the seed's pieces (grid.field_basis), and u^2 keeps it:
+    the march holds every term on modes 0..M/3 only, as real cosine
+    coefficients over M/2 samples when the seed is exactly even and as an
+    rfft half over M samples otherwise. A_1 = S(t) seed is marched on that
+    band too, with the decay e^{-dt|xi|^{2a}} of the band's modes alone,
+    so a windowed seed is never made dense. Each term's arithmetic does
+    not depend on the horizon, so the march to T' = i dt gives node i of
+    the march to T bit for bit.
 
-    The march runs on two threads as a wavefront. A_k at step i needs
-    A_1..A_{k-1} at step i and A_k at step i-1, so the calling thread
-    marches A_1..A_{K/2} (K = n_terms, rounded down, at least A_1) and a
-    worker marches the rest one step behind. Both run one loop over phases
-    p = 0..n+1 in lockstep on a two-party barrier: in phase p the leader
-    makes step p into the sample slot p % 2 and the trailer makes step
-    p - 1 from the other slot. Each stage writes its samples, source,
-    transform and trapezoid step into its own buffers, allocated once per
-    call, and each term's arithmetic is that of a one-thread march, so the
-    values do not depend on the schedule. An error in either stage breaks
-    the barrier and is raised here after both have stopped.
+    The march runs on two worker threads as a wavefront (see _march), and
+    this thread only waits for them; an error in either stage is raised
+    here after both have stopped. Their buffers are freed before anything
+    is widened.
 
-    After both stages have stopped, this thread widens the terms to the
-    full spectrum, exactly Hermitian. With final it widens each term in
-    turn into one reused buffer and returns
-    [final(A_1(T)), ..., final(A_K(T))]; final may be a traced layer, and
-    the field it is given is valid during its call only: the next term
-    overwrites its coefficients. Without final each term is returned as a
-    SpectralField with coefficients of its own.
+    Then this thread builds the full-spectrum A_1(T) by the same n
+    multiplies by the decay, on a fresh copy of the seed's pieces (0 stays
+    0 off them), and widens the terms k >= 2 to the full spectrum, exactly
+    Hermitian. With final it widens each term in turn into A_1's buffer and
+    returns [final(A_1(T)), ..., final(A_K(T))]; final may be a traced
+    layer, and the field it is given is valid during its call only: the
+    next term overwrites its coefficients. Without final each term is
+    returned as a SpectralField with coefficients of its own.
     """
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
     grid = seed.grid
     config.check_stability(grid.max_frequency)
+    basis = field_basis(grid, seed.pieces)
+    # the march steps its own copy of A_1's band
+    coeff = _march(
+        basis, basis.band(_values_at(seed.pieces, 0, basis.width)).copy(),
+        _decay_at(grid, config, slice(0, basis.width)), config, n_terms)
+    a1 = np.zeros(grid.mode_count, dtype=np.complex128)
+    for sl, v in seed.pieces:
+        decay, piece = _decay_at(grid, config, sl), a1[sl]
+        piece[:] = v
+        for _ in range(config.n_steps):
+            np.multiply(decay, piece, out=piece)
+    if final is None:
+        # the march's buffers are this call's own: each term keeps one
+        ends = [a1] + [basis.widen(coeff[k]) for k in range(2, n_terms + 1)]
+        return [SpectralField(grid, c) for c in ends]
+    # A_1's buffer is the reused one: each later term is widened over it
+    results = [final(SpectralField(grid, a1))]
+    for k in range(2, n_terms + 1):
+        basis.widen(coeff[k], out=a1)
+        results.append(final(SpectralField(grid, a1)))
+    return results
+
+
+def _decay_at(grid: TorusGrid, config: SolveConfig, index) -> np.ndarray:
+    """e^{-dt |xi_k|^{2a}} at the fft indices `index`, through
+    frequencies_at: bit for bit those entries of the whole-lattice
+    np.exp(-dt * fractional_symbol(grid, alpha))."""
+    symbol = np.abs(grid.frequencies_at(index)) ** (2.0 * config.alpha)
+    return np.exp(-config.dt * symbol)
+
+
+def _march(basis, a1_band: np.ndarray, band_decay: np.ndarray,
+           config: SolveConfig, n_terms: int) -> dict:
+    """March A_1's band (in place) and A_2..A_K (K = n_terms) over
+    config.n_steps steps; return {k: A_k's band at the last node}, k >= 2.
+
+    A_k at step i needs A_1..A_{k-1} at step i and A_k at step i-1, so one
+    worker marches A_1..A_{K/2} (rounded down, at least A_1) and another
+    the rest one step behind. Both run one loop over phases p = 0..n+1 in
+    lockstep on a two-party barrier: in phase p the leader makes step p
+    into the sample slot p % 2 and the trailer makes step p - 1 from the
+    other slot. Each stage writes its samples, source, transform and
+    trapezoid step into its own buffers, allocated once per call and
+    released on return, and each term's arithmetic is that of a one-thread
+    march, so the values do not depend on the schedule. An error in either
+    stage breaks the barrier and is raised after both have stopped.
+    """
     n = config.n_steps
-    decay = np.exp(-config.dt * fractional_symbol(grid, config.alpha))
     # sigma folds into the step exactly: it is -1, 0 or 1
     half = 0.5 * config.dt * float(config.sign)
-    basis = field_basis(grid, seed.coeffs)
-    # terms k >= 2 are dealiased sources, carried in the basis and widened
-    # only when read
-    band_decay = decay[:basis.width]
-
-    a1 = seed.coeffs.copy()
-    a1_band = basis.band(a1)
 
     def coeff_buffer():
         return np.zeros(basis.width, dtype=basis.coeff_dtype)
@@ -200,7 +235,7 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
             nonlocal spare
             if leads:
                 if i > 0:
-                    np.multiply(decay, a1, out=a1)
+                    np.multiply(band_decay, a1_band, out=a1_band)
                 basis.samples(a1_band, out=phys[1], work=work)
             if i == 0:
                 for k in terms:
@@ -241,16 +276,7 @@ def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
     run_two(lambda: march(lead, 0, slots),
             lambda: march(trail, 1, [slot + own for slot in slots]),
             barrier.abort, "march")
-    if final is None:
-        # the march's buffers are this call's own: each term keeps one
-        ends = [a1] + [basis.widen(coeff[k]) for k in range(2, n_terms + 1)]
-        return [SpectralField(grid, c) for c in ends]
-    # A_1's buffer is the reused one: each later term is widened over it
-    results = [final(SpectralField(grid, a1))]
-    for k in range(2, n_terms + 1):
-        basis.widen(coeff[k], out=a1)
-        results.append(final(SpectralField(grid, a1)))
-    return results
+    return coeff
 
 
 def tail_bound(k: int, n_freq: int, r: float, t: float, c0: float) -> float:
@@ -293,10 +319,11 @@ def hs_norm_from_hat_scan(xi_scan: np.ndarray, hat_values: np.ndarray,
     """H^s norm of an even continuum transform sampled on a nonnegative scan.
 
     Trapezoid of (1/2pi) int (1+xi^2)^s |hat|^2 dxi, doubled for the xi < 0
-    half; the scan must start at 0 and increase.
+    half; the scan must be nonempty, start at 0 and increase.
     """
     xi = np.asarray(xi_scan, dtype=float)
-    if xi[0] != 0.0 or np.any(np.diff(xi) <= 0):
-        raise DomainError("scan must start at 0 and be strictly increasing")
+    if xi.size == 0 or xi[0] != 0.0 or np.any(np.diff(xi) <= 0):
+        raise DomainError(
+            "scan must be nonempty, start at 0 and be strictly increasing")
     integrand = (1.0 + xi**2) ** s * np.asarray(hat_values, dtype=float) ** 2
     return float(np.sqrt(2.0 * np.trapezoid(integrand, xi) / (2.0 * np.pi)))

@@ -1,22 +1,29 @@
 import dataclasses
 import threading
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from fracheat.grid import SpectralField, TorusGrid, _hermitian_defect
+from fracheat.grid import (SpectralField, TorusGrid, _exactly_even,
+                           _hermitian_defect)
 from fracheat.picard import picard_terms
 from fracheat.trajectory import Trajectory
 
 SEED = 0x5EED
 
 
+def threads_named(prefix: str = "fracheat-") -> list:
+    """Names of the live threads whose name starts with prefix."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(prefix)]
+
+
 @pytest.fixture(autouse=True)
 def no_stray_threads():
-    # the two-thread loops must join their worker on every exit path
+    # the two-thread loops must join their workers on every exit path
     yield
-    alive = [t.name for t in threading.enumerate()
-             if t.name.startswith("fracheat-")]
+    alive = threads_named()
     assert not alive, f"threads left running: {alive}"
 
 
@@ -65,6 +72,29 @@ def hermitian_defect(c: np.ndarray) -> float:
     """The Hermitian defect of a dense fft-order spectrum, read as the
     single piece [0, M)."""
     return _hermitian_defect(((slice(0, c.shape[0]), c),), c.shape[0])
+
+
+def exactly_even(c: np.ndarray) -> bool:
+    """Whether a dense fft-order spectrum (any leading axes) is exactly
+    even, read as the single piece [0, M)."""
+    m = c.shape[-1]
+    return _exactly_even(((slice(0, m), c),), m)
+
+
+def log_cached_builds(monkeypatch, cls, name):
+    """Wrap the cached property cls.<name> (TorusGrid.frequencies,
+    SpectralField.coeffs) so each build appends its grid's mode count to
+    the returned list."""
+    log = []
+
+    def recorded(obj, build=cls.__dict__[name].func):
+        log.append(getattr(obj, "grid", obj).mode_count)
+        return build(obj)
+
+    prop = cached_property(recorded)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return log
 
 
 def random_band_field(grid: TorusGrid, band: float, rng, scale: float = 1.0) -> SpectralField:

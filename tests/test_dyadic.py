@@ -31,7 +31,7 @@ from fracheat.grid import (SpectralField, TorusGrid, apply_semigroup, band_half,
 from fracheat.picard import second_iterate_hat
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED, raised_within, random_band_field
+from conftest import SEED, raised_within, random_band_field, threads_named
 
 
 def test_eta_profile():
@@ -542,14 +542,13 @@ def test_algebra_constant_matches_oracle_under_fast_switching():
     assert got == [want] * 3
 
 
-@pytest.mark.parametrize("worker", ["caller", "fracheat-pairs"])
+@pytest.mark.parametrize("worker", ["fracheat-pairs-1", "fracheat-pairs-2"])
 def test_algebra_constant_worker_error_reaches_caller(monkeypatch, worker):
     # the other worker is slowed so the chosen one surely takes a pair
     real_band_half = dyadic.band_half
 
     def band_half(*args, **kwargs):
-        here = threading.current_thread().name
-        if (here == "fracheat-pairs") == (worker == "fracheat-pairs"):
+        if threading.current_thread().name == worker:
             raise RuntimeError("injected band_half failure")
         time.sleep(0.001)
         return real_band_half(*args, **kwargs)
@@ -559,7 +558,7 @@ def test_algebra_constant_worker_error_reaches_caller(monkeypatch, worker):
         lambda: algebra_constant(TorusGrid(8.0, 512), 2, n_pairs=200))
     assert isinstance(exc, RuntimeError)
     assert str(exc) == "injected band_half failure"
-    assert not any(t.name == "fracheat-pairs" for t in threading.enumerate())
+    assert not threads_named("fracheat-pairs")
 
 
 def test_algebra_constant_window_errors():
@@ -568,4 +567,8 @@ def test_algebra_constant_window_errors():
         algebra_constant(g, -2, n_pairs=1)
     with pytest.raises(DegenerateWindowError):
         algebra_constant(g, 7, n_pairs=1)
+    # no pair gives no ratio, and C0 = 0 would make T_N infinite
+    for n_pairs in (0, -3):
+        with pytest.raises(DomainError):
+            algebra_constant(g, 2, n_pairs=n_pairs)
 

@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,8 @@ from fracheat.experiments import (
     validate_config,
 )
 from fracheat.grid import SpectralField, TorusGrid
+
+from conftest import log_cached_builds
 
 
 # ------------------------------------------------------------- exponent fit
@@ -376,17 +377,8 @@ def test_windowed_experiments_build_no_whole_lattice(monkeypatch):
     # (2^19, 2^17, 2^19 and 8192 modes) builds the whole-lattice
     # frequencies; and their seeds and pairing fields are read on their
     # pieces alone, so none is widened to a dense spectrum
-    built, densified = [], []
-
-    def wrapped(cls, name, log):
-        def recorded(obj, build=cls.__dict__[name].func):
-            log.append(getattr(obj, "grid", obj).mode_count)
-            return build(obj)
-        prop = cached_property(recorded)
-        prop.__set_name__(cls, name)
-        monkeypatch.setattr(cls, name, prop)
-    wrapped(TorusGrid, "frequencies", built)
-    wrapped(SpectralField, "coeffs", densified)
+    built = log_cached_builds(monkeypatch, TorusGrid, "frequencies")
+    densified = log_cached_builds(monkeypatch, SpectralField, "coeffs")
     for experiment in ("besov-scaling", "cascade", "endpoint-cascade",
                        "smoothing-check"):
         assert run_experiment(experiment).passed

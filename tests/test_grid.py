@@ -28,8 +28,8 @@ from fracheat.grid import (
     to_spectral,
 )
 
-from conftest import (SEED, dealias_mask, hermitian_defect, random_band_field,
-                      sample_points, wavenumbers)
+from conftest import (SEED, dealias_mask, exactly_even, hermitian_defect,
+                      random_band_field, sample_points, wavenumbers)
 
 
 def test_grid_validation():
@@ -309,6 +309,13 @@ def test_field_basis_follows_exact_symmetry():
     odd[5] += 1e-300j
     odd[-5] -= 1e-300j
     assert isinstance(field_basis(g, odd), HalfBasis)
+    # a field's pieces, as picard_terms passes them, and a dense array mixed
+    windows = (slice(0, 9), slice(56, 64))
+    pieces = tuple((sl, even[sl]) for sl in windows)
+    assert isinstance(field_basis(g, pieces), CosineBasis)
+    assert isinstance(field_basis(g, pieces, even), CosineBasis)
+    assert isinstance(field_basis(g, pieces[:1]), HalfBasis)
+    assert isinstance(field_basis(g, pieces, u.coeffs), HalfBasis)
 
 
 def test_even_products_against_brute_convolution():
@@ -608,5 +615,17 @@ def test_exactly_even_equals_full_scan(m):
              "rows": (np.stack([even, even]), True),
              "rows_one_off": (np.stack([even, ulp_last]), False)}
     for name, (c, want) in cases.items():
-        assert _exactly_even(c) is want, name
+        assert exactly_even(c) is want, name
         assert _exactly_even_full_scan(c) is want, name
+        if c.ndim == 1:
+            # the same spectrum cut into pieces reads the same
+            cuts = [slice(0, 3), slice(3, m // 2 + 1), slice(m // 2 + 1, m)]
+            pieces = tuple((sl, c[sl]) for sl in cuts if sl.start < sl.stop)
+            assert _exactly_even(pieces, m) is want, name
+    # a field on two windows, 0 off them: even only with both mirrors
+    k = np.arange(1, m // 4 + 1, dtype=float)
+    plus, minus = (slice(1, m // 4 + 1), k), (slice(m - m // 4, m), k[::-1])
+    assert _exactly_even((plus, minus), m)
+    assert not _exactly_even((plus,), m)
+    assert not _exactly_even((minus,), m)
+    assert not _exactly_even((plus, (minus[0], minus[1] + 1e-300j)), m)

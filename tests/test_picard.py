@@ -14,9 +14,9 @@ from fracheat.dyadic import (algebra_constant, make_partition, modulation_norm,
 from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate, trapezoid_step
 from fracheat.families import build_phi_NR
-from fracheat.grid import (SpectralField, TorusGrid, _exactly_even,
-                           dealiased_product, dealiased_square, field_basis,
-                           fractional_symbol, hermitian_full, to_spectral)
+from fracheat.grid import (SpectralField, TorusGrid, dealiased_product,
+                           dealiased_square, field_basis, fractional_symbol,
+                           hermitian_full, to_spectral)
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
@@ -28,8 +28,9 @@ from fracheat.picard import (
 )
 from fracheat.trajectory import Trajectory
 
-from conftest import (SEED, dealias_mask, hermitian_defect, picard_nodes,
-                      raised_within, wavenumbers)
+from conftest import (SEED, dealias_mask, exactly_even, hermitian_defect,
+                      log_cached_builds, picard_nodes, raised_within,
+                      threads_named, wavenumbers)
 
 
 def test_theta_closed_forms():
@@ -293,7 +294,7 @@ def test_picard_terms_match_full_spectrum_oracle(sign, kind, n_terms,
         assert np.max(np.abs(term.coeffs - ref)) <= 1e-13 * scale
         assert all(hermitian_defect(row) == 0.0 for row in term.coeffs)
         if kind == "even":
-            assert _exactly_even(term.coeffs)
+            assert exactly_even(term.coeffs)
 
 
 @pytest.mark.parametrize("kind", [True, "even"])
@@ -404,13 +405,13 @@ def test_picard_terms_equal_serial_oracle_under_fast_switching():
 
 def _fail_on(module, name, thread, at):
     """Wrap module.<name> so its at-th call on the stage named `thread`
-    ("lead" is the calling thread, "trail" the worker) raises."""
+    ("lead" or "trail", each on a fracheat-march worker) raises."""
     real_fn = getattr(module, name)
     calls = [0]
+    stage = "fracheat-march-1" if thread == "lead" else "fracheat-march-2"
 
     def wrapped(*args, **kwargs):
-        here = threading.current_thread().name
-        if (here == "fracheat-march") == (thread == "trail"):
+        if threading.current_thread().name == stage:
             calls[0] += 1
             if calls[0] == at:
                 raise RuntimeError(f"injected {name} failure")
@@ -448,7 +449,7 @@ def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
     exc = raised_within(lambda: picard_terms(seed, 6, cfg))
     assert isinstance(exc, RuntimeError)
     assert str(exc) == f"injected {name} failure"
-    assert not any(t.name == "fracheat-march" for t in threading.enumerate())
+    assert not threads_named("fracheat-march")
 
 
 # 16 is the step count, so that stride keeps the endpoints only
@@ -477,17 +478,29 @@ def test_picard_terms_final_route_equals_trajectory_route(sign, kind,
         np.testing.assert_array_equal(end, term.coeffs)
 
 
-def test_picard_terms_final_route_stores_no_rows():
-    # norm-inflation's march at N = 10: M = 2^14, 64 steps, 12 terms. Its
-    # own buffers stay under the first and last rows of each term, 12 x 2
-    # complex rows of M modes (6.3 MB, the bound), which a march that kept
-    # even two nodes per term would hold on top of them
-    n = 10
+def _inflation_march(n):
+    """norm-inflation's datum and march config at N = n: M = 2^(n+4),
+    64 steps. The datum's grid is a fresh instance: algebra_constant
+    builds its own grid's whole-lattice frequencies."""
+    c0 = algebra_constant(TorusGrid(4.0, 2 ** (n + 4)), n, seed=SEED).c0
+    t_n = 1.0 / (8.0 * c0 * 2.0 ** n)
     g = TorusGrid(4.0, 2 ** (n + 4))
     u0 = build_phi_NR(n, n ** -0.25 * np.log(n), g, make_partition(g))
-    t_n = 1.0 / (8.0 * algebra_constant(g, n, seed=SEED).c0 * 2.0 ** n)
-    cfg = SolveConfig(alpha=0.5, sign=1, T=t_n, dt=t_n / 64)
-    rows = 12 * 2 * g.mode_count * 16
+    return u0, SolveConfig(alpha=0.5, sign=1, T=t_n, dt=t_n / 64)
+
+
+def test_picard_terms_final_route_stores_no_rows():
+    # norm-inflation's march at N = 10: M = 2^14, 64 steps, 12 terms, in
+    # the cosine basis. Its peak stays under the band layout: 21 buffers
+    # of M/2 samples (17 slots, 4 for the sources), 26 of the M/3 + 1
+    # band modes (11 terms, 11 previous sources, 2 spares, 2 brackets) and
+    # 2 transform workspaces of M/4 + 1 complex, plus 2 complex rows of M
+    # modes (A_1 and final's reads): 3.17 MB. A march that kept whole
+    # spectra while stepping, or its buffers while widening, exceeds it
+    u0, cfg = _inflation_march(10)
+    m = u0.grid.mode_count
+    layout = (8 * (21 * m // 2 + 26 * (m // 3 + 1))
+              + 16 * 2 * (m // 4 + 1) + 16 * 2 * m)
 
     tracemalloc.start()
     try:
@@ -496,7 +509,27 @@ def test_picard_terms_final_route_stores_no_rows():
     finally:
         tracemalloc.stop()
     print(f"march peak at M = 2^14: final route {final_peak / 2**20:.2f} MiB")
-    assert final_peak < rows
+    assert final_peak < layout
+
+
+def test_picard_terms_reads_a_windowed_seed_on_its_pieces(monkeypatch):
+    # the basis, A_1's band and decay, and A_1(T) are read off the seed's
+    # pieces through frequencies_at: until final is first called, neither
+    # the seed's dense coeffs nor the whole-lattice frequencies are built
+    u0, cfg = _inflation_march(8)
+    assert len(u0.pieces) == 2
+    built = log_cached_builds(monkeypatch, TorusGrid, "frequencies")
+    densified = log_cached_builds(monkeypatch, SpectralField, "coeffs")
+    before_final = []
+
+    def final(u):
+        if not before_final:
+            before_final.append((list(built), list(densified)))
+        return sobolev_norm(u, -0.5)
+
+    norms = picard_terms(u0, 12, cfg, final=final)
+    assert before_final == [([], [])]
+    assert norms == [sobolev_norm(t, -0.5) for t in picard_terms(u0, 12, cfg)]
 
 
 def test_picard_terms_final_runs_on_the_calling_thread():
@@ -543,7 +576,7 @@ def test_picard_terms_final_error_reaches_caller(at):
     assert isinstance(exc, RuntimeError)
     assert str(exc) == "injected final failure"
     assert calls[0] == at
-    assert not any(t.name == "fracheat-march" for t in threading.enumerate())
+    assert not threads_named("fracheat-march")
 
 
 def test_seed_one_ulp_off_even_never_reaches_cosine_primitives(monkeypatch):
@@ -704,3 +737,5 @@ def test_hs_norm_from_hat_scan():
         np.sqrt(1.0 / np.pi), rel=1e-12)
     with pytest.raises(DomainError):
         hs_norm_from_hat_scan(np.array([0.5, 1.0]), np.ones(2), 0.0)
+    with pytest.raises(DomainError):
+        hs_norm_from_hat_scan(np.array([]), np.array([]), 0.0)
