@@ -43,10 +43,8 @@ from .config import SolveConfig
 from .picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
-    modulation_growth_bound,
     picard_terms,
     second_iterate_hat,
-    tail_bound,
     theta,
 )
 from .evolution import (
@@ -90,8 +88,8 @@ __all__ = [
     "phi_profile", "sobolev_norm", "spacetime_besov_norm", "x_norm",
     "Trajectory",
     "SolveConfig",
-    "duhamel_kernel", "hs_norm_from_hat_scan", "modulation_growth_bound",
-    "picard_terms", "second_iterate_hat", "tail_bound", "theta",
+    "duhamel_kernel", "hs_norm_from_hat_scan", "picard_terms",
+    "second_iterate_hat", "theta",
     "IterationReport", "dilation_rescale", "duhamel_integrate",
     "fixed_point_solve", "integral_residual", "smoothing_constant",
     "CascadeReport", "FamilySpec", "build_family", "build_phi_N",

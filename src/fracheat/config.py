@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -33,12 +34,14 @@ class SolveConfig:
         check_alpha(self.alpha)
         if self.sign not in (-1, 0, 1):
             raise ConfigError(f"sign must be +1, -1, or 0, got {self.sign}")
-        if not self.T > 0:
-            raise ConfigError(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ConfigError(
+                f"horizon T must be positive and finite, got {self.T}")
         if not 0 < self.dt <= self.T:
             raise ConfigError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         n = self.T / self.dt
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        # T/dt overflows to inf when dt is tiny enough
+        if n == math.inf or abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(f"T/dt = {n} is not an integer step count")
         if not self.picard_tol > 0:
             raise ConfigError("picard_tol must be positive")

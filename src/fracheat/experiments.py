@@ -128,24 +128,28 @@ class _Key(NamedTuple):
     need: str = ""
 
 
-_POSITIVE = _Key(float, lambda v: v > 0.0, "must be positive")
+_POSITIVE = _Key(float, lambda v: 0.0 < v < math.inf,
+                 "must be positive and finite")
+_FINITE = _Key(float, math.isfinite, "must be finite")
 
 # every key any experiment takes; the CLI lists them in this order
 _KEYS: Dict[str, _Key] = {
     "alpha": _Key(float, lambda a: 0.0 < a <= 1.0, "needs 0 < alpha <= 1"),
-    "s": _Key(float), "s2": _Key(float),
+    "s": _FINITE, "s2": _FINITE,
     "q": _Key(float, lambda q: q >= 1.0, "needs q >= 1"),
     "family": _Key(str, lambda f: f in ("phiN", "psiN", "phiNR"),
                    "needs phiN, psiN or phiNR"),
     "N_min": _Key(int, lambda n: n >= 1, "needs N >= 1"),
     "N_max": _Key(int),
-    "lambda": _Key(float, lambda p: p >= 1.0, "needs a period >= 1"),
+    "lambda": _Key(float, lambda p: 1.0 <= p < math.inf,
+                   "needs a finite period >= 1"),
     "modes": _Key(int, lambda m: m >= 4 and not m & (m - 1),
                   "needs a power of two >= 4"),
     "dt": _POSITIVE, "T": _POSITIVE, "tol": _POSITIVE,
     "seed": _Key(int, lambda n: n >= 0, "must be nonnegative"),
     "sign": _Key(int, lambda v: v in (-1, 0, 1), "must be -1, 0, or +1"),
-    "norm": _Key(float, lambda v: v >= 0.0, "target norm must be >= 0"),
+    "norm": _Key(float, lambda v: 0.0 <= v < math.inf,
+                 "target norm must be finite and >= 0"),
     "sweep": _Key(int, lambda v: v in (0, 1), "must be 0 or 1"),
 }
 
@@ -197,10 +201,17 @@ def _check_domains(name: str, exp: "_Experiment",
         # the solver's own rules: a whole step count, and the stability
         # gate on this grid's band
         try:
-            SolveConfig(alpha=cfg["alpha"], T=cfg["T"],
-                        dt=cfg["dt"]).check_stability(grid.max_frequency)
+            conf = SolveConfig(alpha=cfg["alpha"], T=cfg["T"], dt=cfg["dt"])
+            conf.check_stability(grid.max_frequency)
         except ConfigError as exc:
             bad("dt", str(exc))
+        # a trajectory holds every mode at each of the n_steps + 1 nodes
+        entries = (conf.n_steps + 1) * grid.mode_count
+        if entries > BUDGET_MODES:
+            raise BudgetError(
+                f"{name}.dt: a trajectory of {conf.n_steps + 1} nodes x "
+                f"{grid.mode_count} modes holds {entries} entries, over the "
+                f"desk budget {BUDGET_MODES}")
     if exp.seed is None:
         return
     # the family builders' own rules, on the grid of the last seed:
@@ -308,7 +319,7 @@ def _run_smoothing(cfg, exp) -> Tuple[dict, dict]:
 
 def _family_datum(cfg, exp, grid: TorusGrid, part) -> SpectralField:
     [n] = exp.sweep(cfg)
-    u0 = build_family(exp.seed(cfg, n), grid, part)
+    u0 = build_family(exp.seed(cfg, n), grid)
     target = cfg["norm"]
     if target > 0.0:
         cur = besov_norm(u0, cfg["s"], cfg["q"], part).value
@@ -467,7 +478,6 @@ def _run_norm_inflation(cfg, exp) -> Tuple[dict, dict]:
     phi_norms, free_norms, a2_norms, tails, surrogate = [], [], [], [], []
     for n in ns:
         g = exp.grid(cfg, n)
-        part = make_partition(g)
         c0 = algebra_constant(g, n, seed=cfg["seed"]).c0
         spec = exp.seed(cfg, n)
         t_n = 1.0 / (8.0 * c0 * 2.0 ** n)
@@ -475,7 +485,7 @@ def _run_norm_inflation(cfg, exp) -> Tuple[dict, dict]:
         # keep dt under the exponential-trapezoid stability gate
         while t_n / steps * g.max_frequency ** (2 * cfg["alpha"]) > 8.0:
             steps *= 2
-        u0 = build_family(spec, g, part)
+        u0 = build_family(spec, g)
         conf = SolveConfig(alpha=cfg["alpha"], sign=1, T=t_n, dt=t_n / steps)
         ends = picard_terms(u0, k_terms, conf,
                             final=lambda f: sobolev_norm(f, -0.5))
@@ -622,7 +632,9 @@ EXPERIMENTS: Dict[str, _Experiment] = {
         {"alpha": 0.75, "N_min": 9, "N_max": 12, "T": 0.5, "lambda": 32.0,
          "modes": 2 ** 17, "tol": 0.05, "seed": DEFAULT_SEED},
         _run_cascade, sweep=_Dyadic, least=1,
-        seed=lambda cfg, n: FamilySpec("phiN", n, cfg["alpha"])),
+        seed=lambda cfg, n: FamilySpec("phiN", n, cfg["alpha"]),
+        rules=(("T", lambda t: t < 1.0,
+                "the cascade time must sit in (0, 1)"),)),
     "endpoint-cascade": _Experiment(
         {"alpha": 0.75, "q": 4.0, "N_min": 3, "N_max": 6, "T": 0.5,
          "lambda": 128.0, "modes": 2 ** 19, "tol": 0.05,

@@ -150,48 +150,43 @@ def _seed(grid: TorusGrid, parts) -> SpectralField:
         for lo, hi, profile in parts for sl in grid.support_windows(lo, hi)])
 
 
+# the name each family's seed takes in error messages
+_SEED_NAMES = {"phiN": "phi_N", "psiN": "psi_N", "phiNR": "phi_NR"}
+
+
+def build_family(spec: FamilySpec, grid: TorusGrid) -> SpectralField:
+    """The seed of family member spec on grid (see _seed); raises
+    ResolutionError unless the grid's band and spacing hold it."""
+    n, what = spec.n, _SEED_NAMES[spec.family]
+    require_band(grid, support_top(spec.family, n), what)
+    require_spacing(grid, spec.family, what)
+    if spec.family == "phiN":
+        parts = phi_hat_profile(n, spec.alpha).parts
+    elif spec.family == "psiN":
+        parts = psi_hat_profile(n, spec.alpha).parts
+    else:  # the bump R phi(2^{-N} xi), support exactly [2^N, 2^{N+2}]
+        parts = [(2.0**n, 2.0 ** (n + 2),
+                  lambda xi: spec.r * phi_profile(xi / 2.0**n))]
+    return _seed(grid, parts)
+
+
 def build_phi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
-    """Seed with transform N^a on +-[N, N+2]: c_k = phihat(xi_k) / lambda,
-    evaluated on the support windows of +-[N, N+2] only."""
-    FamilySpec("phiN", n, alpha)
-    require_band(grid, support_top("phiN", n), "phi_N")
-    require_spacing(grid, "phiN", "phi_N")
-    return _seed(grid, phi_hat_profile(n, alpha).parts)
+    """Seed with transform N^a on +-[N, N+2]."""
+    return build_family(FamilySpec("phiN", n, alpha), grid)
 
 
 def build_psi_N(n: int, alpha: float, grid: TorusGrid) -> SpectralField:
-    """Normalized octave sum N^{-1/2} sum_{j=N}^{2N} phi_{2^j}.
-
-    Each part phi_{2^j} is evaluated on its own windows around
-    +-[2^j, 2^j+2]; the parts are disjoint for N >= 3, so every mode takes
-    the one nonzero term of the dense sum, scaled as there."""
-    FamilySpec("psiN", n, alpha)
-    require_band(grid, support_top("psiN", n), "psi_N")
-    require_spacing(grid, "psiN", "psi_N")
-    return _seed(grid, psi_hat_profile(n, alpha).parts)
+    """Normalized octave sum N^{-1/2} sum_{j=N}^{2N} phi_{2^j}."""
+    return build_family(FamilySpec("psiN", n, alpha), grid)
 
 
 def build_phi_NR(n: int, r: float, grid: TorusGrid,
                  partition: DyadicPartition) -> SpectralField:
-    """Smooth bump seed R phi(2^{-N} xi); support exactly [2^N, 2^{N+2}],
-    on whose windows alone the bump is evaluated."""
-    FamilySpec("phiNR", n, 0.5, r=r)
+    """Smooth bump seed R phi(2^{-N} xi); partition must be the grid's."""
+    spec = FamilySpec("phiNR", n, 0.5, r=r)
     if partition.grid != grid:
         raise DimensionError("partition and grid disagree")
-    require_band(grid, support_top("phiNR", n), "phi_NR")
-    return _seed(grid, [(2.0**n, 2.0 ** (n + 2),
-                         lambda xi: r * phi_profile(xi / 2.0**n))])
-
-
-def build_family(spec: FamilySpec, grid: TorusGrid,
-                 partition: DyadicPartition = None) -> SpectralField:
-    if spec.family == "phiN":
-        return build_phi_N(spec.n, spec.alpha, grid)
-    if spec.family == "psiN":
-        return build_psi_N(spec.n, spec.alpha, grid)
-    if partition is None:
-        raise DomainError("phiNR needs the dyadic partition that defines phi")
-    return build_phi_NR(spec.n, spec.r, grid, partition)
+    return build_family(spec, grid)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,9 @@ class TorusGrid:
     mode_count: int
 
     def __post_init__(self):
-        if not self.period >= 1.0:
-            raise DomainError(f"period must be >= 1, got {self.period}")
+        if not 1.0 <= self.period < np.inf:
+            raise DomainError(
+                f"period must be finite and >= 1, got {self.period}")
         m = self.mode_count
         if m < 4 or (m & (m - 1)) != 0:
             raise DomainError(f"mode_count must be a power of two >= 4, got {m}")

@@ -279,41 +279,6 @@ def _march(basis, a1_band: np.ndarray, band_decay: np.ndarray,
     return coeff
 
 
-def tail_bound(k: int, n_freq: int, r: float, t: float, c0: float) -> float:
-    """Series-tail majorant 8^k c0^{k-1} (N+ln k)^{1/2} R^k 2^{(k-1)N} k t^{k-1}
-    for the H^{-1/2} size of term k >= 3 at window exponent N."""
-    if k < 3:
-        raise DomainError(f"tail bound applies to k >= 3, got {k}")
-    if r <= 0 or c0 <= 0 or n_freq < 1:
-        raise DomainError("need r > 0, c0 > 0, n_freq >= 1")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    log_val = (k * np.log(8.0) + (k - 1) * np.log(c0)
-               + 0.5 * np.log(n_freq + np.log(k)) + k * np.log(r)
-               + (k - 1) * n_freq * np.log(2.0) + np.log(k)
-               + (k - 1) * np.log(t))
-    return float(np.exp(log_val))
-
-
-def modulation_growth_bound(k: int, n_freq: int, r: float, t: float,
-                            c0: float) -> float:
-    """Modulation-norm majorant 4^k c0^{k-1} t^{k-1} R^k 2^{(2k-1)N/2}, k >= 1."""
-    if k < 1:
-        raise DomainError(f"term index must be >= 1, got {k}")
-    if r <= 0 or c0 <= 0 or n_freq < 1:
-        raise DomainError("need r > 0, c0 > 0, n_freq >= 1")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    if t == 0.0 and k > 1:
-        return 0.0
-    log_val = (k * np.log(4.0) + (k - 1) * np.log(c0)
-               + ((k - 1) * np.log(t) if k > 1 else 0.0) + k * np.log(r)
-               + 0.5 * (2 * k - 1) * n_freq * np.log(2.0))
-    return float(np.exp(log_val))
-
-
 def hs_norm_from_hat_scan(xi_scan: np.ndarray, hat_values: np.ndarray,
                           s: float) -> float:
     """H^s norm of an even continuum transform sampled on a nonnegative scan.

@@ -63,6 +63,16 @@ def test_cli_bad_value_exits_two(tmp_path):
     assert "expected float" in proc.stderr
 
 
+def test_cli_non_finite_value_exits_two(tmp_path):
+    # an infinite horizon used to end in an OverflowError traceback and
+    # exit 1, the code of a failed verdict
+    proc = run_cli(["solve", "--T", "inf"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "solve.T" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "registry.jsonl").exists()
+
+
 def test_cli_dangling_flag_exits_two(tmp_path):
     proc = run_cli(["semigroup-check", "--alpha"], tmp_path)
     assert proc.returncode == 2, proc.stderr

@@ -175,7 +175,7 @@ def _windowed_seed(lam, m, family, n):
     p = make_partition(g)
     r = n ** -0.25 * np.log(n) if family == "phiNR" else None
     alpha = 0.5 if family == "phiNR" else 0.75
-    return build_family(FamilySpec(family, n, alpha, r=r), g, p), p
+    return build_family(FamilySpec(family, n, alpha, r=r), g), p
 
 
 @pytest.mark.parametrize("lam,m,family,n", _WINDOWED_SEEDS)

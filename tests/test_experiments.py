@@ -170,7 +170,29 @@ def test_validate_config_domain_checks():
         validate_config("besov-scaling", {"N_min": "6", "N_max": "7"})
     with pytest.raises(ConfigError, match="wellposed-scaling.N_max: .*got 2"):
         validate_config("wellposed-scaling", {"N_min": "7", "N_max": "8"})
+    # these passed here and ran on non-finite values: solve died in
+    # SolveConfig with an OverflowError, wellposed-scaling called an
+    # infinite horizon ill-posed and passed, smoothing-check wrote NaN
+    # constants, and semigroup-check passed on an infinite-period torus
+    with pytest.raises(ConfigError, match="solve.T: .*finite, got inf"):
+        validate_config("solve", {"T": "inf"})
+    with pytest.raises(ConfigError, match="wellposed-scaling.T"):
+        validate_config("wellposed-scaling", {"T": "inf"})
+    with pytest.raises(ConfigError, match="smoothing-check.T"):
+        validate_config("smoothing-check", {"T": "inf"})
+    with pytest.raises(ConfigError, match="semigroup-check.lambda"):
+        validate_config("semigroup-check", {"lambda": "inf"})
+    for key in ("s", "s2"):
+        with pytest.raises(ConfigError, match=f"smoothing-check.{key}:"):
+            validate_config("smoothing-check", {key: "nan"})
+    for key in ("tol", "norm"):
+        with pytest.raises(ConfigError, match=f"solve.{key}:"):
+            validate_config("solve", {key: "inf"})
+    # q = inf is the Besov index q = infinity
+    validate_config("besov-scaling", {"q": "inf"})
     # these passed here and failed in the runner
+    with pytest.raises(ConfigError, match="cascade.T: .*in \\(0, 1\\)"):
+        validate_config("cascade", {"T": "1"})
     with pytest.raises(ConfigError, match="besov-scaling.family"):
         validate_config("besov-scaling", {"family": "phiNR"})
     with pytest.raises(ConfigError, match="endpoint-cascade.q"):
@@ -212,6 +234,13 @@ def test_validate_config_budget_gate():
         validate_config("norm-inflation", {"N_max": "20"})
     validate_config("norm-inflation", {"N_max": "19"})
     validate_config("norm-inflation", {"N_max": "18"})
+    # a trajectory holds (T/dt + 1) x modes entries; at dt = 1e-6 that is
+    # 8.2 GB for solve's free flow alone. The defaults hold 65 x 512 and
+    # 17 x 512
+    for name in ("solve", "dilation-check"):
+        with pytest.raises(BudgetError, match=f"{name}.dt: .*entries"):
+            validate_config(name, {"dt": "1e-6"})
+        validate_config(name)
 
 
 def test_parse_config_file(tmp_path):

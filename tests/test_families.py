@@ -182,11 +182,9 @@ def test_build_family_dispatch():
     a = build_family(FamilySpec("phiN", 16, 0.6), g)
     b = build_phi_N(16, 0.6, g)
     assert np.array_equal(a.coeffs, b.coeffs)
-    c = build_family(FamilySpec("phiNR", 6, 0.5, r=0.3), g, part)
+    c = build_family(FamilySpec("phiNR", 6, 0.5, r=0.3), g)
     d = build_phi_NR(6, 0.3, g, part)
     assert np.array_equal(c.coeffs, d.coeffs)
-    with pytest.raises(DomainError):
-        build_family(FamilySpec("phiNR", 6, 0.5, r=0.3), g)  # no partition
 
 
 def test_cascade_passes_at_desk_scale():

@@ -33,8 +33,9 @@ from conftest import (SEED, dealias_mask, exactly_even, hermitian_defect,
 
 
 def test_grid_validation():
-    with pytest.raises(DomainError):
-        TorusGrid(0.5, 64)
+    for period in (0.5, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            TorusGrid(period, 64)
     with pytest.raises(DomainError):
         TorusGrid(4.0, 48)  # not a power of two
     g = TorusGrid(4.0, 64)

@@ -9,8 +9,8 @@ import pytest
 from fracheat import grid, picard
 
 from fracheat.config import SolveConfig
-from fracheat.dyadic import (algebra_constant, make_partition, modulation_norm,
-                             phi_profile, sobolev_norm)
+from fracheat.dyadic import (algebra_constant, make_partition, phi_profile,
+                             sobolev_norm)
 from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate, trapezoid_step
 from fracheat.families import build_phi_NR
@@ -20,10 +20,8 @@ from fracheat.grid import (SpectralField, TorusGrid, dealiased_product,
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
-    modulation_growth_bound,
     picard_terms,
     second_iterate_hat,
-    tail_bound,
     theta,
 )
 from fracheat.trajectory import Trajectory
@@ -489,6 +487,27 @@ def _inflation_march(n):
     return u0, SolveConfig(alpha=0.5, sign=1, T=t_n, dt=t_n / 64)
 
 
+def test_picard_truncation_matches_its_geometric_estimate():
+    # norm-inflation's march at N = 8 keeps 12 terms. Marched to 20, the
+    # first 12 norms are the same bit for bit, since a term's arithmetic
+    # does not depend on how many terms follow it, and the dropped terms
+    # 13..20 sum to D. The even terms fall geometrically by about
+    # rho = ||A_12|| / ||A_10|| per two terms, so the terms past 12 are
+    # estimated by E = (||A_11|| + ||A_12||) rho / (1 - rho); measured
+    # D / E = 1.15
+    u0, cfg = _inflation_march(8)
+    norm = lambda u: sobolev_norm(u, -0.5)
+    kept = picard_terms(u0, 12, cfg, final=norm)
+    longer = picard_terms(u0, 20, cfg, final=norm)
+    assert longer[:12] == kept
+    rho = kept[11] / kept[9]
+    dropped = sum(longer[12:])
+    estimate = (kept[10] + kept[11]) * rho / (1.0 - rho)
+    print(f"truncation at N = 8: D = {dropped:.4g}, E = {estimate:.4g}, "
+          f"D/E = {dropped / estimate:.4f}")
+    assert 0.5 <= dropped / estimate <= 2.0
+
+
 def test_picard_terms_final_route_stores_no_rows():
     # norm-inflation's march at N = 10: M = 2^14, 64 steps, 12 terms, in
     # the cosine basis. Its peak stays under the band layout: 21 buffers
@@ -645,6 +664,10 @@ def test_picard_store_stride_and_errors():
     with pytest.raises(ConfigError):
         # dt * max|xi|^{2 alpha} blows the stability gate
         picard_terms(seed, 2, SolveConfig(alpha=1.0, T=1.0, dt=0.5))
+    # a non-finite horizon, or a T/dt that overflows, is no step count
+    for t, dt in ((np.inf, 0.5), (np.nan, 0.5), (1e10, 5e-324)):
+        with pytest.raises(ConfigError):
+            SolveConfig(alpha=0.75, T=t, dt=dt)
 
 
 def test_kernel_ratio_bracket_half_alpha():
@@ -676,57 +699,6 @@ def test_a2_sobolev_lower_bound_constant():
     c = norm / (r**2 * 2.0**n * t * np.sqrt(n))
     print(f"A2 lower-bound constant at N={n}: c = {c:.4f}")
     assert c >= 1.0 / 16.0
-
-
-def test_series_terms_against_lemma_bounds():
-    # measured H^{-1/2} and modulation norms of A_k sit below the analytic
-    # majorants with the empirically calibrated C0 (alpha = 1/2 schedule)
-    n = 5
-    g = TorusGrid(4.0, 1024)
-    c0 = algebra_constant(g, n, n_pairs=40, seed=SEED).c0
-    r = 0.5
-    t_n = 1.0 / (8 * c0 * 2.0**n)
-    c = r * phi_profile(g.frequencies / 2.0**n) / g.period
-    seed = SpectralField(g, c.astype(complex))
-    cfg = SolveConfig(alpha=0.5, T=t_n, dt=t_n / 64)
-    terms = picard_terms(seed, 5, cfg)
-    for k in (3, 4, 5):
-        measured = sobolev_norm(terms[k - 1], -0.5)
-        assert measured <= tail_bound(k, n, r, t_n, c0)
-    for k in (1, 2, 3, 4):
-        measured = modulation_norm(terms[k - 1], n)
-        assert measured <= modulation_growth_bound(k, n, r, t_n, c0)
-
-
-def test_tail_bound_values_and_errors():
-    k, n, r, t, c0 = 3, 8, 1.2, 0.01, 0.4
-    want = 8.0**k * c0 ** (k - 1) * np.sqrt(n + np.log(k)) * r**k \
-        * 2.0 ** ((k - 1) * n) * k * t ** (k - 1)
-    assert tail_bound(k, n, r, t, c0) == pytest.approx(want, rel=1e-12)
-    assert tail_bound(k, n, r, 0.0, c0) == 0.0
-    assert tail_bound(k, n, r, 0.02, c0) > tail_bound(k, n, r, 0.01, c0)
-    with pytest.raises(DomainError):
-        tail_bound(2, n, r, t, c0)
-    with pytest.raises(DomainError):
-        tail_bound(3, n, -1.0, t, c0)
-    # reported (not asserted): the desk-scale tail sum grows with N because
-    # R(N) = N^{-1/4} ln N stays above 1 until N ~ 5.5e3
-    for nn in (8, 12, 16, 20):
-        rr = nn**-0.25 * np.log(nn)
-        tt = 1.0 / (8 * 0.35 * 2.0**nn)
-        total = sum(tail_bound(k, nn, rr, tt, 0.35) for k in range(3, 61))
-        print(f"tail majorant sum, N={nn}: {total:.3e}")
-
-
-def test_modulation_growth_bound_values():
-    n, r, c0 = 6, 0.8, 0.4
-    assert modulation_growth_bound(1, n, r, 0.0, c0) == pytest.approx(
-        4 * r * 2.0 ** (n / 2), rel=1e-12)
-    k, t = 3, 0.05
-    want = 4.0**k * c0 ** (k - 1) * t ** (k - 1) * r**k * 2.0 ** ((2 * k - 1) * n / 2)
-    assert modulation_growth_bound(k, n, r, t, c0) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DomainError):
-        modulation_growth_bound(0, n, r, t, c0)
 
 
 def test_hs_norm_from_hat_scan():
