@@ -33,15 +33,19 @@ def duhamel_kernel_values(xi: np.ndarray, xi1: np.ndarray, t: float,
     mu, nu from symbol_split and theta = mu - nu."""
     mu, nu = symbol_split(xi, xi1, alpha)
     theta = mu - nu
-    x = theta * t
-    small = np.abs(x) < SERIES_CUT
-    big = x > EXP_BIG
-    safe_theta = np.where(small, 1.0, theta)
-    emu = np.exp(-mu * t)
+    # at a huge t, theta*t and mu*t can overflow to inf; the branches below
+    # take inf to its limit, and np.where discards the lanes it spoils
     with np.errstate(over="ignore", invalid="ignore"):
+        x = theta * t
+        small = np.abs(x) < SERIES_CUT
+        big = x > EXP_BIG
+        safe_theta = np.where(small, 1.0, theta)
+        emu = np.exp(-mu * t)
         quot = emu * np.expm1(x) / safe_theta
         stable = (np.exp(-nu * t) - emu) / safe_theta
-    series = t * emu * (1.0 + 0.5 * x + x * x / 6.0)
+    # the series on the small lanes alone: on the others x*x can overflow
+    xs = np.where(small, x, 0.0)
+    series = t * emu * (1.0 + 0.5 * xs + xs * xs / 6.0)
     return np.where(small, series, np.where(big, stable, quot))
 
 

@@ -7,19 +7,19 @@ with phi(2) = 1; block -1 multiplies by eta. The blocks telescope, so
 eta(xi) + sum_{j=0}^{J} phi(xi/2^j) = eta(xi/2^{J+1}) = 1 for |xi| <= 2^{J+1},
 which covers the whole grid band once J = floor(log2(max|xi_k|)).
 
-A partition stores each block only where it can be nonzero: on the
-fft-order windows TorusGrid.support_windows gives for its support, with
-the values of the elementwise bump there. Off the windows the bump is
-exactly 0, so the block table behind the Besov norms and x_norm sums over
-the windows alone, and multiplier(j) rebuilds the full-length block, bit
-for bit the dense one, on each call without keeping it.
+The partition is the grid's: make_partition(grid) is the only one a field
+on that grid has, so the norms and lp_block take none and build it from
+the field's grid. A partition keeps each block's support windows
+(TorusGrid.support_windows) and evaluates the bump on them, clipped to
+the window asked for, each time it is read: off the windows the bump is
+exactly 0, and the bump is elementwise, so a clipped value is the
+unclipped one, and multiplier(j) is bit for bit the dense block.
 
-besov_norm reads the field's pieces (a windowed seed's few windows, or a
-dense field's single piece [0, M)): it squares |c| on each piece and sums
-each block over its windows clipped to the piece. The clipped blocks are
-evaluated afresh by the same rule, on the clipped windows alone, so a
-seed's norm never builds the whole table, which the whole window [0, M)
-reads and a partition keeps.
+The block table behind the Besov norms and x_norm reads a field's pieces
+(a windowed seed's few windows, or a dense field's single piece [0, M)):
+it squares |c| on each piece and sums each block over its windows
+clipped to that piece, so a seed's norm never evaluates the blocks off
+its support.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._threads import run_two
-from .errors import DegenerateWindowError, DimensionError, DomainError, ResolutionError
+from .errors import DegenerateWindowError, DomainError, ResolutionError
 from .grid import SpectralField, TorusGrid, band_half, band_samples, check_alpha
 from .trajectory import Trajectory
 
@@ -57,8 +57,8 @@ def phi_profile(xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Dyadic multiplier table for one grid; blocks j = -1 .. j_max, each
-    kept as (window, values) pairs on the modes its support reaches."""
+    """The dyadic blocks j = -1 .. j_max of one grid, each read as
+    (window, values) pairs on the modes its support reaches."""
 
     grid: TorusGrid
     j_max: int
@@ -70,24 +70,7 @@ class DyadicPartition:
         if j > self.j_max:
             raise ResolutionError(
                 f"block {j} exceeds j_max = {self.j_max} for this grid band")
-        return self._table[j + 1]
-
-    def _blocks_on(self, window: slice) -> tuple:
-        """Every block on one fft-order window, in block_range order: block
-        j as ((slice, values), ...) over its support windows clipped to
-        window, with values phi_profile(xi/2^j) (eta for j = -1) there,
-        each bit for bit the whole table's at that mode.
-
-        The whole spectrum [0, M) gives the whole table, built on first use
-        and kept; any other window is evaluated afresh, on its modes alone.
-        """
-        if window == slice(0, self.grid.mode_count):
-            return self._table
-        return self._clipped(window)
-
-    @cached_property
-    def _table(self) -> tuple:
-        return self._clipped(slice(0, self.grid.mode_count))
+        return self._clipped(slice(0, self.grid.mode_count), j)
 
     @cached_property
     def _layout(self) -> tuple:
@@ -97,16 +80,16 @@ class DyadicPartition:
                                                  (2.0**j, 2.0 ** (j + 2))))
                      for j in self.block_range)
 
-    def _clipped(self, window: slice) -> tuple:
-        # Block j >= 0 is phi_profile(xi/2^j) and block -1 is eta, each
-        # evaluated on its support windows clipped to window. Both are
-        # elementwise, so a clipped value is the unclipped one.
-        def block(j, sl):
+    def _clipped(self, window: slice, j: int) -> tuple:
+        """Block j as ((slice, values), ...) over its support windows
+        clipped to window, evaluated afresh on those modes alone: block
+        j >= 0 is phi_profile(xi/2^j) and block -1 is eta, both
+        elementwise, so each value is the unclipped block's at that mode."""
+        def block(sl):
             xi = self.grid.frequencies_at(sl)
             return eta(xi) if j == -1 else phi_profile(xi / 2.0**j)
-        return tuple(
-            tuple((sl, block(j, sl)) for sl in _clip(windows, window))
-            for j, windows in zip(self.block_range, self._layout))
+        return tuple((sl, block(sl))
+                     for sl in _clip(self._layout[j + 1], window))
 
     def multiplier(self, j: int) -> np.ndarray:
         """Block j on the whole grid, fft order; a fresh array per call."""
@@ -129,15 +112,14 @@ def _clip(windows: tuple, window: slice):
 
 
 def make_partition(grid: TorusGrid) -> DyadicPartition:
+    """The grid's partition: blocks up to j_max = floor(log2 max|xi_k|)."""
     j_max = max(-1, int(np.floor(np.log2(grid.max_frequency))))
     return DyadicPartition(grid, j_max)
 
 
-def lp_block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField:
+def lp_block(u: SpectralField, j: int) -> SpectralField:
     """Delta_j u: multiply the spectrum by the block-j bump."""
-    if u.grid != partition.grid:
-        raise DimensionError("field and partition live on different grids")
-    return u.copy_with(u.coeffs * partition.multiplier(j))
+    return u.copy_with(u.coeffs * make_partition(u.grid).multiplier(j))
 
 
 @dataclass(frozen=True)
@@ -165,9 +147,9 @@ def _lq(values: np.ndarray, q: float) -> float:
     return float(np.sum(values**q) ** (1.0 / q))
 
 
-def _block_l2_table(pieces, n_nodes: int,
-                    partition: DyadicPartition) -> np.ndarray:
-    """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}.
+def _block_l2_table(pieces, n_nodes: int, grid: TorusGrid) -> np.ndarray:
+    """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}, blocks
+    j = -1 .. j_max of the grid's partition.
 
     pieces lists disjoint (window, values) pairs, values of shape
     (n_nodes, window length), that hold every nonzero mode. |c|^2 is
@@ -175,27 +157,24 @@ def _block_l2_table(pieces, n_nodes: int,
     clipped to them; a dense single piece [0, M) sums each block over its
     whole windows.
     """
-    lam = partition.grid.period
-    table = np.zeros((len(partition.block_range), n_nodes))
+    part = make_partition(grid)
+    table = np.zeros((len(part.block_range), n_nodes))
     for window, values in pieces:
         a = window.start
         mags = np.abs(values) ** 2
-        for row, block in zip(table, partition._blocks_on(window)):
-            for sl, vals in block:
+        for row, j in zip(table, part.block_range):
+            for sl, vals in part._clipped(window, j):
                 row += mags[:, sl.start - a:sl.stop - a] @ (vals * vals)
-    return np.sqrt(lam * table)
+    return np.sqrt(grid.period * table)
 
 
-def besov_norm(u: SpectralField, s: float, q: float,
-               partition: DyadicPartition) -> NormReport:
+def besov_norm(u: SpectralField, s: float, q: float) -> NormReport:
     """B^{s,q} norm: l^q over j of 2^{js} ||Delta_j u||_{L^2}, summed on
     the field's pieces."""
     q = _check_q(q)
-    if u.grid != partition.grid:
-        raise DimensionError("field and partition live on different grids")
     raw = _block_l2_table([(sl, v[None, :]) for sl, v in u.pieces], 1,
-                          partition)[:, 0]
-    js = np.arange(-1, partition.j_max + 1)
+                          u.grid)[:, 0]
+    js = np.arange(-1, raw.size - 1)
     weighted = 2.0 ** (js * s) * raw
     return NormReport("besov", s, q, None, _lq(weighted, q), tuple(weighted))
 
@@ -208,19 +187,19 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 
 
 def _spacetime_report(table: np.ndarray, dt: float, p: float, s: float,
-                      q: float, partition: DyadicPartition) -> NormReport:
+                      q: float) -> NormReport:
     if p == np.inf:
         per_block = table.max(axis=1)
     else:
         per_block = np.trapezoid(table**p, dx=dt, axis=1) ** (1.0 / p)
-    js = np.arange(-1, partition.j_max + 1)
+    js = np.arange(-1, table.shape[0] - 1)  # a row per block, j = -1 up
     weighted = 2.0 ** (js * s) * per_block
     kind = "Linf-t-besov" if p == np.inf else f"L{int(p)}-t-besov"
     return NormReport(kind, s, q, None, _lq(weighted, q), tuple(weighted))
 
 
-def spacetime_besov_norm(traj: Trajectory, p: float, s: float, q: float,
-                         partition: DyadicPartition) -> NormReport:
+def spacetime_besov_norm(traj: Trajectory, p: float, s: float,
+                         q: float) -> NormReport:
     """Tilde norm: per block, L^p in time of ||Delta_j u(t)||_{L^2}, then
     2^{js}-weighted l^q over blocks.
 
@@ -230,25 +209,20 @@ def spacetime_besov_norm(traj: Trajectory, p: float, s: float, q: float,
     q = _check_q(q)
     if p not in (1, 2, np.inf):
         raise DomainError(f"time exponent p must be 1, 2, or inf, got {p}")
-    if traj.grid != partition.grid:
-        raise DimensionError("trajectory and partition live on different grids")
     table = _block_l2_table(((slice(0, traj.grid.mode_count), traj.coeffs),),
-                            traj.n_nodes, partition)
-    return _spacetime_report(table, traj.dt, p, s, q, partition)
+                            traj.n_nodes, traj.grid)
+    return _spacetime_report(table, traj.dt, p, s, q)
 
 
-def x_norm(traj: Trajectory, s: float, q: float, alpha: float,
-           partition: DyadicPartition) -> float:
+def x_norm(traj: Trajectory, s: float, q: float, alpha: float) -> float:
     """Work norm: Linf_t B^{s,q} + L2_t B^{s+alpha,q} over the trajectory;
     both parts read one block table."""
     check_alpha(alpha)
     q = _check_q(q)
-    if traj.grid != partition.grid:
-        raise DimensionError("trajectory and partition live on different grids")
     table = _block_l2_table(((slice(0, traj.grid.mode_count), traj.coeffs),),
-                            traj.n_nodes, partition)
-    a = _spacetime_report(table, traj.dt, np.inf, s, q, partition)
-    b = _spacetime_report(table, traj.dt, 2, s + alpha, q, partition)
+                            traj.n_nodes, traj.grid)
+    a = _spacetime_report(table, traj.dt, np.inf, s, q)
+    b = _spacetime_report(table, traj.dt, 2, s + alpha, q)
     return a.value + b.value
 
 

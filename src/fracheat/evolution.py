@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolveConfig
-from .dyadic import make_partition, x_norm
+from .dyadic import x_norm
 from .errors import DimensionError, DomainError, ResolutionError
 from .grid import (SpectralField, TorusGrid, check_alpha,
                    dealiased_product_coeffs, fractional_symbol)
@@ -115,7 +115,6 @@ def fixed_point_solve(u0: SpectralField, config: SolveConfig):
     config.check_stability(g.max_frequency)
     times = config.dt * np.arange(config.n_steps + 1)
     free = _free_coeffs(u0, times, config.alpha)
-    part = make_partition(g)
 
     cur = free.copy()
     diff_norms = []
@@ -134,7 +133,7 @@ def fixed_point_solve(u0: SpectralField, config: SolveConfig):
         diff = Trajectory(g, config.dt, new - cur)
         # huge pre-blow-up iterates may overflow the norm; inf is handled
         with np.errstate(over="ignore", invalid="ignore"):
-            d = x_norm(diff, config.s, config.q, config.alpha, part)
+            d = x_norm(diff, config.s, config.q, config.alpha)
         diff_norms.append(d)
         cur = new
         if d < config.picard_tol:
@@ -163,25 +162,23 @@ def integral_residual(traj: Trajectory, u0: SpectralField,
     return float(np.max(node_l2))
 
 
-_PROBE_GRID = (64.0, 8192)
 _PROBE_MODES = 400  # log-spaced lattice modes smoothing_constant scans
 
 
 def smoothing_constant(s1: float, s2: float, alpha: float, t: float,
-                       grid: TorusGrid = None) -> float:
+                       grid: TorusGrid) -> float:
     """Empirical constant in ||S(t)f||_{H^{s2}} <= C t^{-(s2-s1)/(2a)} ||f||_{H^{s1}}.
 
     Probes single-mode fields on a log-spaced scan of lattice modes and
     returns the max of t^{(s2-s1)/(2a)} ||S(t)f||_{H^{s2}} / ||f||_{H^{s1}}.
-    For the mode xi that ratio is e^{-t|xi|^{2a}} (1+xi^2)^{(s2-s1)/2}.
+    For the mode xi that ratio is e^{-t|xi|^{2a}} (1+xi^2)^{(s2-s1)/2};
+    the scan reaches the last positive mode of grid.
     """
     check_alpha(alpha)
     if s2 < s1:
         raise DomainError(f"need s2 >= s1, got s1={s1}, s2={s2}")
     if not t > 0:
         raise DomainError(f"need t > 0, got {t}")
-    if grid is None:
-        grid = TorusGrid(*_PROBE_GRID)
     k_max = grid.mode_count // 2 - 1
     ks = np.rint(np.geomspace(1, k_max, _PROBE_MODES)).astype(int)
     # the scan is sorted, so dropping repeats of the previous mode gives

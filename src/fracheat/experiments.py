@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import SolveConfig
-from .dyadic import algebra_constant, besov_norm, make_partition, sobolev_norm
+from .dyadic import algebra_constant, besov_norm, sobolev_norm
 from .errors import BudgetError, ConfigError, DomainError, ResolutionError
 from .evolution import (dilation_rescale, fixed_point_solve, integral_residual,
                         smoothing_constant)
@@ -179,10 +179,12 @@ def _check_domains(name: str, exp: "_Experiment",
     def bad(key, msg):
         raise ConfigError(f"{name}.{key}: {msg}")
 
-    # every key's rule from the table, then the experiment's narrower ones
-    rules = [(key, _KEYS[key].ok, _KEYS[key].need) for key in cfg]
+    # every key's rule from the table, then the experiment's narrower
+    # ones; each reads the whole config and names the key it reports
+    rules = [(key, lambda c, key=key: _KEYS[key].ok(c[key]), _KEYS[key].need)
+             for key in cfg if _KEYS[key].ok is not None]
     for key, ok, need in rules + list(exp.rules):
-        if ok is not None and not ok(cfg[key]):
+        if not ok(cfg):
             bad(key, f"{need}, got {cfg[key]!r}")
     ns = exp.sweep(cfg)
     if len(ns) < exp.least:
@@ -290,12 +292,11 @@ def _run_semigroup(cfg, exp) -> Tuple[dict, dict]:
 
 def _run_besov_scaling(cfg, exp) -> Tuple[dict, dict]:
     g = exp.grid(cfg)
-    part = make_partition(g)
     a, s, q = cfg["alpha"], cfg["s"], cfg["q"]
     ns = list(exp.sweep(cfg))
     expected = a + s if cfg["family"] == "phiN" else -0.5 + 1.0 / q
-    norms = [besov_norm(build_family(exp.seed(cfg, n), g), s, q,
-                        part).value for n in ns]
+    norms = [besov_norm(build_family(exp.seed(cfg, n), g), s, q).value
+             for n in ns]
     fit = fit_exponent(zip(ns, norms))
     values = {"N": ns, "norm": norms, "slope": fit.slope,
               "intercept": fit.intercept, "residual": fit.residual,
@@ -317,20 +318,19 @@ def _run_smoothing(cfg, exp) -> Tuple[dict, dict]:
     return values, verdicts
 
 
-def _family_datum(cfg, exp, grid: TorusGrid, part) -> SpectralField:
+def _family_datum(cfg, exp, grid: TorusGrid) -> SpectralField:
     [n] = exp.sweep(cfg)
     u0 = build_family(exp.seed(cfg, n), grid)
     target = cfg["norm"]
     if target > 0.0:
-        cur = besov_norm(u0, cfg["s"], cfg["q"], part).value
+        cur = besov_norm(u0, cfg["s"], cfg["q"]).value
         u0 = u0.copy_with(u0.coeffs * (target / cur))
     return u0
 
 
 def _run_solve(cfg, exp) -> Tuple[dict, dict]:
     g = exp.grid(cfg)
-    part = make_partition(g)
-    u0 = _family_datum(cfg, exp, g, part)
+    u0 = _family_datum(cfg, exp, g)
     conf = SolveConfig(alpha=cfg["alpha"], sign=cfg["sign"], T=cfg["T"],
                        dt=cfg["dt"], picard_tol=cfg["tol"], s=cfg["s"],
                        q=cfg["q"])
@@ -440,11 +440,10 @@ def _run_cascade(cfg, exp) -> Tuple[dict, dict]:
 
 def _run_endpoint_cascade(cfg, exp) -> Tuple[dict, dict]:
     g = exp.grid(cfg)
-    part = make_partition(g)
     a, q, t = cfg["alpha"], cfg["q"], cfg["T"]
     ns = list(exp.sweep(cfg))
-    norms = [besov_norm(build_family(exp.seed(cfg, n), g), -a, q,
-                        part).value for n in ns]
+    norms = [besov_norm(build_family(exp.seed(cfg, n), g), -a, q).value
+             for n in ns]
     scan = np.linspace(-0.5, 0.5, 21)
     zmins = [float(np.min(second_iterate_hat(psi_hat_profile(n, a), t, scan,
                                              a, g))) for n in ns]
@@ -516,12 +515,11 @@ def _run_dilation_check(cfg, exp) -> Tuple[dict, dict]:
     a = cfg["alpha"]
     cfg = dict(cfg, s=-a, q=2.0)  # the dilation bound lives in B^{-alpha,2}
     g = exp.grid(cfg)
-    part = make_partition(g)
-    u0 = _family_datum(cfg, exp, g, part)
+    u0 = _family_datum(cfg, exp, g)
     conf = SolveConfig(alpha=a, sign=cfg["sign"], T=cfg["T"], dt=cfg["dt"],
                        picard_tol=1e-10, s=-a, q=2.0)
     traj, report = fixed_point_solve(u0, conf)
-    base = besov_norm(u0, -a, 2.0, part).value
+    base = besov_norm(u0, -a, 2.0).value
     lam_ds, residuals, ratios, bounds = [], [], [], []
     for lam_d in (0.5, 0.25, 0.125):
         scale = lam_d ** (2.0 * a)
@@ -530,10 +528,9 @@ def _run_dilation_check(cfg, exp) -> Tuple[dict, dict]:
         rconf = SolveConfig(alpha=a, sign=cfg["sign"], T=cfg["T"] / scale,
                             dt=cfg["dt"] / scale, picard_tol=1e-10,
                             s=-a, q=2.0)
-        rpart = make_partition(rt.grid)
         lam_ds.append(lam_d)
         residuals.append(integral_residual(rt, ru0, rconf))
-        ratios.append(besov_norm(ru0, -a, 2.0, rpart).value / base)
+        ratios.append(besov_norm(ru0, -a, 2.0).value / base)
         bounds.append((1.0 + cfg["tol"]) * lam_d ** (a - 0.5))
     values = {"lambda_d": lam_ds, "residual": residuals, "ratio": ratios,
               "bound": bounds, "base_norm": base}
@@ -587,8 +584,9 @@ class _Experiment:
     seed: Optional[Callable[[dict, int], FamilySpec]] = None
     # member n's grid as (period, log2 of the mode count)
     shape: Callable[[dict, Optional[int]], Tuple[float, int]] = _shape
-    # (key, ok, need) rules that narrow _KEYS' rules for this experiment
-    rules: Tuple[Tuple[str, Callable[[object], bool], str], ...] = ()
+    # (key, ok(cfg), need) rules that narrow _KEYS' rules for this
+    # experiment; a failed one is reported under key
+    rules: Tuple[Tuple[str, Callable[[dict], bool], str], ...] = ()
 
     def grid(self, cfg, n: Optional[int] = None) -> TorusGrid:
         period, log2_modes = self.shape(cfg, n)
@@ -608,12 +606,14 @@ EXPERIMENTS: Dict[str, _Experiment] = {
         sweep=lambda cfg: (_Dyadic if cfg["family"] == "phiN"
                            else _direct)(cfg),
         least=3, seed=_configured_seed,
-        rules=(("family", lambda f: f in ("phiN", "psiN"),
+        rules=(("family", lambda cfg: cfg["family"] in ("phiN", "psiN"),
                 "needs phiN or psiN, the families with scaling laws"),)),
     "smoothing-check": _Experiment(
         {"alpha": 1.0, "s": -1.0, "s2": 0.0, "T": 0.1, "lambda": 64.0,
          "modes": 8192, "tol": 0.1, "seed": DEFAULT_SEED},
-        _run_smoothing),
+        _run_smoothing,
+        rules=(("s2", lambda cfg: cfg["s2"] >= cfg["s"],
+                "the smoothing estimate needs s2 >= s"),)),
     "solve": _Experiment(
         {"family": "phiN", "N_min": 8, "alpha": 0.75, "s": -0.75, "q": 2.0,
          "norm": 0.01, "sign": 1, "lambda": 32.0, "modes": 512,
@@ -633,7 +633,7 @@ EXPERIMENTS: Dict[str, _Experiment] = {
          "modes": 2 ** 17, "tol": 0.05, "seed": DEFAULT_SEED},
         _run_cascade, sweep=_Dyadic, least=1,
         seed=lambda cfg, n: FamilySpec("phiN", n, cfg["alpha"]),
-        rules=(("T", lambda t: t < 1.0,
+        rules=(("T", lambda cfg: cfg["T"] < 1.0,
                 "the cascade time must sit in (0, 1)"),)),
     "endpoint-cascade": _Experiment(
         {"alpha": 0.75, "q": 4.0, "N_min": 3, "N_max": 6, "T": 0.5,
@@ -641,7 +641,7 @@ EXPERIMENTS: Dict[str, _Experiment] = {
          "seed": DEFAULT_SEED},
         _run_endpoint_cascade, sweep=_direct, least=2,
         seed=lambda cfg, n: FamilySpec("psiN", n, cfg["alpha"]),
-        rules=(("q", lambda q: q > 2.0,
+        rules=(("q", lambda cfg: cfg["q"] > 2.0,
                 "the endpoint contrast needs q > 2"),)),
     "norm-inflation": _Experiment(
         {"alpha": 0.5, "N_min": 8, "N_max": 16, "tol": 4.0,

@@ -73,6 +73,14 @@ def test_cli_non_finite_value_exits_two(tmp_path):
     assert not (tmp_path / "registry.jsonl").exists()
 
 
+def test_cli_cross_key_rule_exits_two(tmp_path):
+    # s2 < s passed validation and failed in the runner, naming no key
+    proc = run_cli(["smoothing-check", "--s2", "-2"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "smoothing-check.s2" in proc.stderr
+    assert not (tmp_path / "registry.jsonl").exists()
+
+
 def test_cli_dangling_flag_exits_two(tmp_path):
     proc = run_cli(["semigroup-check", "--alpha"], tmp_path)
     assert proc.returncode == 2, proc.stderr

@@ -116,20 +116,20 @@ def test_windowed_norms_match_dense_oracle(lam, m):
     table = _dense_block_table(traj.coeffs, p)
     for s, q in ((-0.5, 2.0), (-0.75, 1.0), (0.25, np.inf)):
         want, blocks = _dense_weighted(table[:, 0], s, q, p)
-        rep = besov_norm(u0, s, q, p)
+        rep = besov_norm(u0, s, q)
         assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
         assert np.allclose(rep.blocks, blocks, rtol=1e-13, atol=0)
         for tp in (1, 2, np.inf):
             per = (table.max(axis=1) if tp == np.inf else
                    np.trapezoid(table**tp, dx=dt, axis=1) ** (1.0 / tp))
             want, blocks = _dense_weighted(per, s, q, p)
-            rep = spacetime_besov_norm(traj, tp, s, q, p)
+            rep = spacetime_besov_norm(traj, tp, s, q)
             assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
             assert np.allclose(rep.blocks, blocks, rtol=1e-13, atol=0)
         sup, _ = _dense_weighted(table.max(axis=1), s, q, p)
         l2, _ = _dense_weighted(
             np.trapezoid(table**2, dx=dt, axis=1) ** 0.5, s + alpha, q, p)
-        assert x_norm(traj, s, q, alpha, p) == pytest.approx(sup + l2, rel=1e-13,
+        assert x_norm(traj, s, q, alpha) == pytest.approx(sup + l2, rel=1e-13,
                                                              abs=0)
 
 
@@ -145,7 +145,7 @@ def test_besov_norm_memory_stays_below_dense_block_cache():
     bound = 8 * g.mode_count * 8  # eight float64 arrays of length M: 16 MB
     tracemalloc.start()
     try:
-        besov_norm(u, -0.5, 2.0, p)
+        besov_norm(u, -0.5, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,7 +185,7 @@ def test_seed_norms_on_their_support_match_dense_oracle(lam, m, family, n):
     table = _dense_block_table(u.coeffs[None, :], p)[:, 0]
     for s, q in _SEED_NORMS:
         want, blocks = _dense_weighted(table, s, q, p)
-        rep = besov_norm(u, s, q, p)
+        rep = besov_norm(u, s, q)
         assert rep.value == pytest.approx(want, rel=1e-15, abs=0), (s, q)
         np.testing.assert_allclose(rep.blocks, blocks, rtol=1e-15, atol=0)
     # the pairing with a smooth test profile reaching every block
@@ -219,7 +219,7 @@ def test_seed_besov_norm_memory_stays_near_its_support():
     tracemalloc.start()
     try:
         u = build_psi_N(6, 0.75, g)
-        besov_norm(u, -0.75, 4.0, make_partition(g))
+        besov_norm(u, -0.75, 4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,9 +252,9 @@ def test_fields_derived_from_a_seed_carry_no_support():
         assert v.pieces[0][1] is v.coeffs
         want, _ = _dense_weighted(
             _dense_block_table(v.coeffs[None, :], p)[:, 0], -0.75, 2.0, p)
-        assert besov_norm(v, -0.75, 2.0, p).value == want
-    assert besov_norm(derived[0], -0.75, 2.0, p).value > besov_norm(
-        u, -0.75, 2.0, p).value
+        assert besov_norm(v, -0.75, 2.0).value == want
+    assert besov_norm(derived[0], -0.75, 2.0).value > besov_norm(
+        u, -0.75, 2.0).value
 
 
 def test_partition_block_index_errors():
@@ -262,9 +262,9 @@ def test_partition_block_index_errors():
     p = make_partition(g)
     u = SpectralField(g, np.zeros(128, dtype=complex))
     with pytest.raises(DomainError):
-        lp_block(u, -2, p)
+        lp_block(u, -2)
     with pytest.raises(ResolutionError):
-        lp_block(u, p.j_max + 1, p)
+        lp_block(u, p.j_max + 1)
 
 
 def pure_mode_at_4():
@@ -280,21 +280,20 @@ def test_lp_block_pure_mode():
     u = pure_mode_at_4()
     p = make_partition(u.grid)
     # phi(4/2) = phi(2) = 1: block j = 1 owns the mode outright
-    b1 = lp_block(u, 1, p)
+    b1 = lp_block(u, 1)
     assert np.allclose(b1.coeffs, u.coeffs, atol=1e-15)
     for j in p.block_range:
         if j == 1:
             continue
-        assert l2_norm(lp_block(u, j, p)) < 1e-15
+        assert l2_norm(lp_block(u, j)) < 1e-15
 
 
 def test_lp_block_support():
     g = TorusGrid(8.0, 512)
     rng = np.random.default_rng(SEED)
     u = random_band_field(g, g.max_frequency, rng)
-    p = make_partition(g)
     for j in (0, 2, 4):
-        b = lp_block(u, j, p)
+        b = lp_block(u, j)
         a = np.abs(g.frequencies)
         outside = (a < 2.0**j) | (a > 2.0 ** (j + 2))
         assert np.max(np.abs(b.coeffs[outside])) == 0.0
@@ -302,11 +301,10 @@ def test_lp_block_support():
 
 def test_besov_pure_mode():
     u = pure_mode_at_4()
-    p = make_partition(u.grid)
     assert l2_norm(u) == pytest.approx(1.0, rel=1e-14)
     for s in (-1.0, -0.5, 0.0, 0.7):
         for q in (1, 2, np.inf):
-            rep = besov_norm(u, s, q, p)
+            rep = besov_norm(u, s, q)
             assert rep.value == pytest.approx(2.0**s, rel=1e-13)
 
 
@@ -318,7 +316,7 @@ def test_besov_q_monotone_and_s_embedding():
     s1, s2 = -0.75, -0.25
     for _ in range(100):
         u = random_band_field(g, g.max_frequency, rng)
-        vals = [besov_norm(u, -0.5, q, p).value for q in qs]
+        vals = [besov_norm(u, -0.5, q).value for q in qs]
         for a, b in zip(vals, vals[1:]):
             assert b <= a * (1 + 1e-13)
         # B^{s2,q} -> B^{s1,1} with the explicit Hoelder constant
@@ -326,8 +324,8 @@ def test_besov_q_monotone_and_s_embedding():
             qp = q / (q - 1.0)
             js = np.arange(-1, p.j_max + 1)
             c_h = np.sum(2.0 ** (js * (s1 - s2) * qp)) ** (1.0 / qp)
-            lhs = besov_norm(u, s1, 1, p).value
-            rhs = c_h * besov_norm(u, s2, q, p).value
+            lhs = besov_norm(u, s1, 1).value
+            rhs = c_h * besov_norm(u, s2, q).value
             assert lhs <= rhs * (1 + 1e-13)
 
 
@@ -347,7 +345,7 @@ def test_besov_h_s_bracket():
         for _ in range(100):
             u = random_band_field(g, g.max_frequency, rng)
             hs = sobolev_norm(u, s)
-            b2 = besov_norm(u, s, 2, p).value
+            b2 = besov_norm(u, s, 2).value
             assert lo * b2 * (1 - 1e-12) <= hs <= hi * b2 * (1 + 1e-12)
 
 
@@ -364,7 +362,7 @@ def test_block_almost_orthogonality():
     rng = np.random.default_rng(SEED)
     for _ in range(25):
         u = random_band_field(g, g.max_frequency, rng)
-        ssq = sum(l2_norm(lp_block(u, j, p)) ** 2 for j in p.block_range)
+        ssq = sum(l2_norm(lp_block(u, j)) ** 2 for j in p.block_range)
         n2 = l2_norm(u) ** 2
         assert 0.5 * n2 * (1 - 1e-12) <= ssq <= n2 * (1 + 1e-12)
 
@@ -389,16 +387,15 @@ def free_trajectory(u0, alpha, dt, n):
 def test_spacetime_norms_constant_and_decaying():
     g = TorusGrid(2 * np.pi, 64)
     u = pure_mode_at_4()
-    p = make_partition(g)
     n, dt = 101, 0.01
     frozen = Trajectory(g, dt, np.repeat(u.coeffs[None, :], n, axis=0))
     T = dt * (n - 1)
     s, q = -0.5, 2.0
-    base = besov_norm(u, s, q, p).value
-    assert spacetime_besov_norm(frozen, np.inf, s, q, p).value == pytest.approx(base, rel=1e-13)
-    assert spacetime_besov_norm(frozen, 2, s, q, p).value == pytest.approx(
+    base = besov_norm(u, s, q).value
+    assert spacetime_besov_norm(frozen, np.inf, s, q).value == pytest.approx(base, rel=1e-13)
+    assert spacetime_besov_norm(frozen, 2, s, q).value == pytest.approx(
         base * np.sqrt(T), rel=1e-13)
-    assert spacetime_besov_norm(frozen, 1, s, q, p).value == pytest.approx(
+    assert spacetime_besov_norm(frozen, 1, s, q).value == pytest.approx(
         base * T, rel=1e-13)
     # decaying single mode: closed-form L^2_t integral; trapezoid error is
     # ~ (dt mu)^2/3 relative, so dt = 1e-3 at mu = 8 gives ~2e-5
@@ -406,31 +403,30 @@ def test_spacetime_norms_constant_and_decaying():
     mu = 4.0 ** (2 * alpha)
     traj = free_trajectory(u, alpha, 1e-3, 1001)
     want = base * np.sqrt((1 - np.exp(-2 * mu)) / (2 * mu))
-    got = spacetime_besov_norm(traj, 2, s, q, p).value
+    got = spacetime_besov_norm(traj, 2, s, q).value
     assert got == pytest.approx(want, rel=5e-5)
     with pytest.raises(DomainError):
-        spacetime_besov_norm(traj, 3, s, q, p)
+        spacetime_besov_norm(traj, 3, s, q)
 
 
 def test_x_norm_properties():
     g = TorusGrid(8.0, 256)
     rng = np.random.default_rng(SEED)
-    p = make_partition(g)
     alpha, s, q, T, dt = 0.75, -0.75, 2.0, 1.0, 0.01
     n = int(T / dt) + 1
     zero = Trajectory(g, dt, np.zeros((n, g.mode_count), dtype=complex))
-    assert x_norm(zero, s, q, alpha, p) == 0.0
+    assert x_norm(zero, s, q, alpha) == 0.0
     ratios = []
     for _ in range(50):
         u0 = random_band_field(g, g.max_frequency, rng)
         traj = free_trajectory(u0, alpha, dt, n)
-        val = x_norm(traj, s, q, alpha, p)
+        val = x_norm(traj, s, q, alpha)
         tripled = Trajectory(g, dt, 3.0 * traj.coeffs)
-        assert x_norm(tripled, s, q, alpha, p) == pytest.approx(3 * val, rel=1e-13)
+        assert x_norm(tripled, s, q, alpha) == pytest.approx(3 * val, rel=1e-13)
         # sup-in-time part is attained at t = 0, block by block
-        sup_part = spacetime_besov_norm(traj, np.inf, s, q, p)
-        assert sup_part.value == pytest.approx(besov_norm(u0, s, q, p).value, rel=1e-13)
-        ratios.append(val / besov_norm(u0, s, q, p).value)
+        sup_part = spacetime_besov_norm(traj, np.inf, s, q)
+        assert sup_part.value == pytest.approx(besov_norm(u0, s, q).value, rel=1e-13)
+        ratios.append(val / besov_norm(u0, s, q).value)
     # free-flow bound: blocks j >= 0 decay at rate >= 2^{2 j alpha}, block -1
     # contributes at most 2^{-(s+alpha)} sqrt(T); constant reported below
     c_star = 1.0 + max(2.0**-0.5, 2.0 ** -(s + alpha) * np.sqrt(T))

@@ -197,6 +197,11 @@ def test_validate_config_domain_checks():
         validate_config("besov-scaling", {"family": "phiNR"})
     with pytest.raises(ConfigError, match="endpoint-cascade.q"):
         validate_config("endpoint-cascade", {"q": "2"})
+    # a rule across two keys: this failed in smoothing_constant, naming
+    # no key
+    with pytest.raises(ConfigError, match="smoothing-check.s2: .*s2 >= s"):
+        validate_config("smoothing-check", {"s2": "-2"})
+    validate_config("smoothing-check", {"s2": "-1"})
 
 
 def test_validate_config_reads_only_the_ends_of_a_sweep():

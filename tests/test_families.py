@@ -131,22 +131,21 @@ def test_psi_n_block_structure():
             target = scale * l2_norm(phi_j)
             # the component phi_{2^j} lives in block j-1 up to a small
             # glue leak into block j; all other blocks see nothing from it
-            main = l2_norm(lp_block(psi, j - 1, part))
+            main = l2_norm(lp_block(psi, j - 1))
             assert 0.93 * target <= main <= 1.001 * target
         for b in range(-1, part.j_max + 1):
             if n - 1 <= b <= 2 * n:
                 continue
-            assert l2_norm(lp_block(psi, b, part)) == 0.0
+            assert l2_norm(lp_block(psi, b)) == 0.0
 
 
 def test_psi_n_norm_scaling():
     # spacing <= 0.05 so the per-block lattice counts stop wobbling the fit
     g = TorusGrid(2.0**7, 2**19)
-    part = make_partition(g)
     alpha = 0.75
     ns = np.array([3, 4, 5, 6])
     for q in (2.0, 4.0, 8.0):
-        vals = [besov_norm(build_psi_N(int(n), alpha, g), -alpha, q, part).value
+        vals = [besov_norm(build_psi_N(int(n), alpha, g), -alpha, q).value
                 for n in ns]
         slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
         want = -0.5 + 1.0 / q
@@ -228,10 +227,9 @@ def test_pairing_lower_bound_values():
 def test_ill_posedness_contrast_phi():
     # s < -alpha: the data norm collapses while the cascade floor holds
     g = contrast_grid()
-    part = make_partition(g)
     alpha, s, t = 1.0, -1.75, 0.5
-    norm_small = besov_norm(build_phi_N(2**6, alpha, g), s, 2.0, part).value
-    norm_large = besov_norm(build_phi_N(2**12, alpha, g), s, 2.0, part).value
+    norm_small = besov_norm(build_phi_N(2**6, alpha, g), s, 2.0).value
+    norm_large = besov_norm(build_phi_N(2**12, alpha, g), s, 2.0).value
     assert norm_large < 0.1 * norm_small
     for n in (2**6, 2**12):
         assert verify_cascade(n, alpha, t, g).passes
@@ -241,9 +239,8 @@ def test_ill_posedness_contrast_psi():
     # s = -alpha, q > 2: psi_N norms decrease while the A_2 mass at low
     # frequency stays above the threshold
     g = contrast_grid()
-    part = make_partition(g)
     alpha, q, t = 0.75, 4.0, 0.5
-    vals = [besov_norm(build_psi_N(n, alpha, g), -alpha, q, part).value
+    vals = [besov_norm(build_psi_N(n, alpha, g), -alpha, q).value
             for n in (3, 4, 5, 6)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     threshold = 0.25 * np.exp(-t / 2)

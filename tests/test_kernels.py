@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 
@@ -44,6 +45,17 @@ def _assert_matches_oracle(targets, xi1, w, t, alpha, prefac=1.0):
 def test_backend_report():
     assert _kernels.BACKEND == "numpy"
     print(f"active kernel backend: {_kernels.BACKEND}")
+
+
+def test_kernel_at_a_huge_time_warns_nothing():
+    # the series branch was evaluated on every lane, and x*x overflowed
+    # on the lanes np.where then discarded; xi1 = 0 is a series lane. At
+    # |xi| = 1e6, mu*t and theta*t themselves overflow to inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = picard.duhamel_kernel(np.array([1.0, 1.0, 1e6, 1e6]),
+                                  np.array([0.0, 20.0, 0.0, 20.0]), 1e300, 0.75)
+    assert np.array_equal(k, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_second_iterate_matches_oracle_on_every_branch():

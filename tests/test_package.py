@@ -148,6 +148,37 @@ def test_only_grid_calls_an_fft():
     assert list(_fft_references(ast.parse((SRC / "grid.py").read_text())))
 
 
+def _partition_parameters(node, scope):
+    # (qualified name, line) of every function or lambda under node that
+    # has a parameter named partition
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            a = child.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            if any(p.arg == "partition" for p in params):
+                yield inner, child.lineno
+        yield from _partition_parameters(child, inner)
+
+
+def test_only_dyadic_takes_a_partition():
+    # the dyadic partition is fixed by the grid, and dyadic works it out
+    # from the grid wherever it reads one. build_phi_NR keeps the argument
+    # its callers outside the package pass, and reads only its grid.
+    takers = [(scope, line) for name in MODULES if name != "dyadic"
+              for scope, line in _partition_parameters(
+                  ast.parse((SRC / f"{name}.py").read_text()), name)]
+    stray = [f"fracheat.{scope} (line {line})" for scope, line in takers
+             if scope != "families.build_phi_NR"]
+    assert not stray, stray
+    assert [scope for scope, _ in takers] == ["families.build_phi_NR"]
+
+
 # the experiments of perfbench's desk-suite workload, run at their defaults
 DESK_SUITE = ("semigroup-check", "besov-scaling", "smoothing-check", "solve",
               "wellposed-scaling", "cascade", "endpoint-cascade",
