@@ -32,7 +32,7 @@ import numpy as np
 
 from ._threads import run_two
 from .errors import DegenerateWindowError, DomainError, ResolutionError
-from .grid import SpectralField, TorusGrid, band_half, band_samples, check_alpha
+from .grid import HalfBasis, SpectralField, TorusGrid, check_alpha
 from .trajectory import Trajectory
 
 
@@ -264,7 +264,7 @@ class _HalfNorm:
 
     The masses are summed in fft order with the mirror conj(h) included,
     into as many windows as the full spectrum has, so the value equals
-    modulation_norm of hermitian_full(h) bit for bit (np.sum is pairwise,
+    modulation_norm of HalfBasis.widen(h) bit for bit (np.sum is pairwise,
     so the window count matters). The modes that are zero are skipped.
     h[0] must be real, as an rfft's mode 0 is. One instance serves one
     thread: the weights are a buffer reused by every call.
@@ -322,15 +322,18 @@ def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
     waits (_threads.run_two): each pair is one (2, M) draw from the one
     generator, made under a lock so the draws keep stream order whichever
     worker takes them, and is carried as rfft halves in that worker's
-    buffers, allocated once per call. The maximum over pairs does not
-    depend on which worker saw which pair, so the result does not either.
+    buffers, allocated once per call: HalfBasis(grid, M/8 + 1) transforms
+    the draws and HalfBasis(grid), the 2/3 band, the product. The maximum
+    over pairs does not depend on which worker saw which pair, so the
+    result does not either.
     n_pairs must be at least 1: C0 divides the inflation time T_N.
     """
     if n_pairs < 1:
         raise DomainError(f"need at least one pair, got {n_pairs}")
     index = _window_index(grid, n_window)
     m = grid.mode_count
-    k_in, k_out = m // 8, m // 3
+    basis_in, basis_out = HalfBasis(grid, m // 8 + 1), HalfBasis(grid)
+    k_in, k_out = basis_in.width - 1, basis_out.width - 1
     half = 2.0 ** (n_window / 2.0)
     draws = _PairDraws(np.random.default_rng(seed), n_pairs)
     worst = [0.0, 0.0]
@@ -345,11 +348,11 @@ def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
         while draws.draw(fields):
             # one rfft per row: a batched one faults in fresh pages per call
             for row in range(2):
-                band_half(fields[row], grid, k_in, out=h_in[row],
-                          work=spectrum[row])
-            band_samples(h_in, grid, out=fields)
+                basis_in.coeffs(fields[row], out=h_in[row],
+                                work=spectrum[row])
+            basis_in.samples(h_in, out=fields)
             product = np.multiply(fields[0], fields[1], out=fields[0])
-            band_half(product, grid, k_out, out=h_out, work=spectrum[0])
+            basis_out.coeffs(product, out=h_out, work=spectrum[0])
             num = norm_out(h_out)
             den = half * norm_in(h_in[0]) * norm_in(h_in[1])
             worst[slot] = max(worst[slot], num / den)

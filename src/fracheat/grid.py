@@ -10,27 +10,31 @@ so integrals int dxi become (2*pi/lam) * sum_k and every norm below is the
 lattice Riemann sum of its continuum counterpart.
 
 Every field is real: its coefficients are Hermitian, c_{-k} = conj(c_k).
-The dealiased product carries its band |k| <= M/3 in one of two bases,
-chosen by field_basis from the symmetry of the inputs alone:
+Every FFT in the package runs in a method of one of two bases, and none
+is a complex FFT.
 
-- HalfBasis, for any field: modes 0..M/3 (the rfft half) and M real
-  samples, through band_half (real samples to modes) and band_samples
-  (modes to real samples; a short half is zero-padded, which is the 2/3
-  rule when it stops at M/3). hermitian_full widens a half to the full
-  fft-order spectrum with its conjugate mirror.
-- CosineBasis, for fields whose coefficients are exactly even (real,
-  and c_{-k} == c_k bit for bit): real cosine coefficients on modes
-  0..M/3 and M/2 real samples, through cosine_band and cosine_samples.
-  These are Makhoul's DCT-II/DCT-III pair over one length-M/2 rfft or
-  irfft and one twiddle multiply. The samples sit on the half-shifted
-  grid x_j = (j + 1/2) lam/M, j < M/2 (the other half is their mirror),
-  in Makhoul's permuted order. Only pointwise products read them, and
-  the 2/3-rule product is exact on any shifted grid, so neither the
-  shift nor the order is undone.
+- HalfBasis(grid, width), for any field: modes 0..width-1 of the rfft
+  half (width M/3 + 1 by default, the 2/3 band) and M real samples.
+  coeffs is the rfft divided by M and truncated to the width; samples is
+  the irfft, zero-padding a short half (the 2/3 rule when it stops at
+  M/3); widen gives the full fft-order spectrum with the conjugate
+  mirror. to_spectral and from_spectral use the whole half, width
+  M/2 + 1.
+- CosineBasis(grid, width), for fields whose coefficients are exactly
+  even (real, and c_{-k} == c_k bit for bit): real cosine coefficients
+  on modes 0..width-1 and M/2 real samples, through Makhoul's
+  DCT-II/DCT-III pair over one length-M/2 rfft or irfft and one twiddle
+  multiply (the twiddles are built once per basis, when first used). The
+  samples sit on the half-shifted grid x_j = (j + 1/2) lam/M, j < M/2
+  (the other half is their mirror), in Makhoul's permuted order. Only
+  pointwise products read them, and the 2/3-rule product is exact on any
+  shifted grid, so neither the shift nor the order is undone.
 
-The raw-array primitives take a numpy-style out= (band_half and the cosine
-pair also a work= for the half-length complex buffer of their transform),
-so a march can reuse its buffers; the values do not depend on it.
+field_basis picks the basis of a dealiased product from the symmetry of
+the inputs alone. A basis's samples and coeffs take a numpy-style out=
+and a work= for the half-length complex buffer of their transform (the
+rfft half's samples ignore work), and widen takes an out=, so a march
+can reuse its buffers; the values do not depend on them.
 """
 
 from __future__ import annotations
@@ -100,14 +104,6 @@ class TorusGrid:
             xi[i >= m // 2] -= m
         xi *= self.spacing
         return xi
-
-    @cached_property
-    def cosine_twiddles(self) -> tuple:
-        """(e^{-i pi k/M}, e^{i pi k/M}) for k = 0..M/4, the twiddles of the
-        cosine pair."""
-        w = np.exp((-1j * np.pi / self.mode_count)
-                   * np.arange(self.mode_count // 4 + 1))
-        return w, np.conj(w)
 
     @property
     def spacing(self) -> float:
@@ -288,18 +284,17 @@ def to_spectral(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
             f"sample array has shape {s.shape}, grid wants ({grid.mode_count},)")
     if np.iscomplexobj(s):
         raise SymmetryError(f"samples must be real, got {s.dtype}")
-    return SpectralField(grid, hermitian_full(
-        band_half(s, grid, grid.mode_count // 2), grid))
+    basis = HalfBasis(grid, grid.mode_count // 2 + 1)
+    return SpectralField(grid, basis.widen(basis.coeffs(s)))
 
 
 def from_spectral(field: SpectralField) -> np.ndarray:
-    """Inverse transform to physical samples, real (checked)."""
-    samples = np.fft.ifft(field.coeffs) * field.grid.mode_count
-    scale = max(1.0, float(np.max(np.abs(samples.real))))
-    residue = float(np.max(np.abs(samples.imag))) / scale
-    if residue > 1e-10:
-        raise SymmetryError(f"imaginary residue {residue:.3e} on a real field")
-    return samples.real
+    """Inverse transform to the M real samples f(x_n), read from the
+    field's rfft half (the field is Hermitian, checked when it was built);
+    a windowed field is not made dense."""
+    width = field.grid.mode_count // 2 + 1
+    return HalfBasis(field.grid, width).samples(
+        _values_at(field.pieces, 0, width))
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -327,8 +322,7 @@ def dealiased_square(field: SpectralField) -> SpectralField:
     Modes |k| > M/3 are zeroed on input and output, so the retained band
     carries the exact convolution of the retained input band.
     """
-    c = dealiased_product_coeffs(field.coeffs, field.coeffs, field.grid)
-    return field.copy_with(c)
+    return dealiased_product(field, field)
 
 
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -338,172 +332,141 @@ def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     return u.copy_with(dealiased_product_coeffs(u.coeffs, v.coeffs, u.grid))
 
 
-def band_half(samples: np.ndarray, grid: TorusGrid, k_max: int,
-              out: np.ndarray | None = None,
-              work: np.ndarray | None = None) -> np.ndarray:
-    """Modes 0..k_max of real samples (last axis): rfft / M, truncated.
-
-    work, if given, receives the whole rfft (last axis M/2+1).
-    """
-    spectrum = np.fft.rfft(samples, out=work)
-    return np.divide(spectrum[..., :k_max + 1], grid.mode_count, out=out)
-
-
-def band_samples(h: np.ndarray, grid: TorusGrid,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples (last axis) of the Hermitian field whose modes 0.. are h.
-
-    Modes beyond len(h) are zero; the imaginary parts of the self-mirrored
-    modes 0 and M/2 are dropped, as in hermitian_full.
-    """
-    return np.fft.irfft(h, n=grid.mode_count, norm="forward", out=out)
-
-
-def hermitian_full(h: np.ndarray, grid: TorusGrid,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Full fft-order spectrum (last axis) with modes 0..len(h)-1 equal to h,
-    their mirrors equal to conj(h) and every other mode zero.
-
-    Modes 0 and M/2 are their own mirrors and keep only their real part, so
-    the result is exactly Hermitian.
-    """
-    m, n = grid.mode_count, h.shape[-1]
-    if out is None:
-        out = np.zeros(h.shape[:-1] + (m,), dtype=np.complex128)
-    else:
-        out[..., n:m - n + 1] = 0.0
-    out[..., :n] = h
-    out[..., m - n + 1:] = np.conj(h[..., :0:-1])
-    out[..., 0] = out[..., 0].real
-    if n > m // 2:
-        out[..., m // 2] = out[..., m // 2].real
-    return out
-
-
-def cosine_samples(c: np.ndarray, grid: TorusGrid,
-                   out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
-    """M/2 real samples (last axis) of the even field whose cosine
-    coefficients on modes 0..len(c)-1 (at most M/2) are the real c.
-
-    The samples are f(x_j) at x_j = (j + 1/2) lam/M in Makhoul's order:
-    entry j is sample 2j and entry M/2-1-j is sample 2j+1, j < M/4. Modes
-    beyond len(c) are zero. work, if given, holds the M/4+1 complex
-    inputs of the irfft.
-    """
-    n, n_c = grid.mode_count // 2, c.shape[-1]
-    h = n // 2
-    if work is None:
-        work = np.empty(c.shape[:-1] + (h + 1,), dtype=np.complex128)
-    # z_k = e^{i pi k/M} (c_k - i c_{n-k}), k = 0..n/2; c_n and c_{>=n_c} are 0
-    r = min(n_c, h + 1)
-    work.real[..., :r] = c[..., :r]
-    work.real[..., r:] = 0.0
-    lo = max(n - n_c + 1, 1)
-    work.imag[..., :lo] = 0.0
-    np.negative(c[..., n - lo:n - h - 1:-1], out=work.imag[..., lo:])
-    np.multiply(work, grid.cosine_twiddles[1], out=work)
-    return np.fft.irfft(work, n=n, norm="forward", out=out)
-
-
-def cosine_band(samples: np.ndarray, grid: TorusGrid, k_max: int,
-                out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
-    """Cosine coefficients on modes 0..k_max (k_max < M/2) of the M/2
-    samples (last axis) in cosine_samples' grid and order, divided by M
-    as band_half divides: the real modes c_k of the even field.
-
-    work, if given, receives the whole rfft (last axis M/4+1).
-    """
-    n = grid.mode_count // 2
-    h = n // 2
-    z = np.fft.rfft(samples, norm="forward", out=work)
-    np.multiply(z, grid.cosine_twiddles[0], out=z)
-    if out is None:
-        out = np.empty(samples.shape[:-1] + (k_max + 1,))
-    # c_k = Re(w_k z_k) and c_{n-k} = -Im(w_k z_k), k = 0..n/2
-    r = min(k_max, h)
-    out[..., :r + 1] = z.real[..., :r + 1]
-    np.negative(z.imag[..., h - 1:n - k_max - 1:-1], out=out[..., h + 1:])
-    return out
-
-
 class HalfBasis:
-    """A real field's dealiased band: modes 0..M/3 of the rfft half and M
-    real samples, widened with the conjugate mirror."""
+    """A real field's band in the rfft half: modes 0..width-1 (width M/3 + 1
+    by default, the 2/3 band) and M real samples, widened with the
+    conjugate mirror."""
 
     coeff_dtype, sample_dtype = np.complex128, np.float64
 
-    def __init__(self, grid: TorusGrid):
+    def __init__(self, grid: TorusGrid, width: int | None = None):
         self.grid = grid
-        self.width = grid.mode_count // 3 + 1
+        self.width = grid.mode_count // 3 + 1 if width is None else width
         self.n_samples = grid.mode_count
 
     def band(self, full):
         return full[..., :self.width]
 
     def samples(self, c, out=None, work=None):
-        return band_samples(c, self.grid, out=out)
+        """Real samples (last axis) of the Hermitian field whose modes 0..
+        are c. Modes beyond len(c) are zero, which is the 2/3 rule when c
+        stops at M/3; the imaginary parts of the self-mirrored modes 0 and
+        M/2 are dropped, as in widen."""
+        return np.fft.irfft(c, n=self.grid.mode_count, norm="forward",
+                            out=out)
 
     def coeffs(self, samples, out=None, work=None):
-        return band_half(samples, self.grid, self.width - 1, out=out,
-                         work=work)
+        """Modes 0..width-1 of real samples (last axis): rfft / M,
+        truncated. work, if given, receives the whole rfft (last axis
+        M/2+1)."""
+        spectrum = np.fft.rfft(samples, out=work)
+        return np.divide(spectrum[..., :self.width], self.grid.mode_count,
+                         out=out)
 
     def widen(self, c, out=None):
-        return hermitian_full(c, self.grid, out=out)
+        """Full fft-order spectrum (last axis) with modes 0..len(c)-1 equal
+        to c, their mirrors equal to conj(c) and every other mode zero.
+
+        Modes 0 and M/2 are their own mirrors and keep only their real
+        part, so the result is exactly Hermitian.
+        """
+        m, n = self.grid.mode_count, c.shape[-1]
+        if out is None:
+            out = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
+        else:
+            out[..., n:m - n + 1] = 0.0
+        out[..., :n] = c
+        out[..., m - n + 1:] = np.conj(c[..., :0:-1])
+        out[..., 0] = out[..., 0].real
+        if n > m // 2:
+            out[..., m // 2] = out[..., m // 2].real
+        return out
 
     def workspace(self):
         return np.empty(self.grid.mode_count // 2 + 1, dtype=np.complex128)
 
 
 class CosineBasis(HalfBasis):
-    """An even real field's dealiased band: real cosine coefficients on
-    modes 0..M/3 and M/2 samples on the half-shifted grid, widened as a
-    half whose mirror is itself."""
+    """An even real field's band: real cosine coefficients on modes
+    0..width-1 (width at most M/2) and M/2 samples on the half-shifted
+    grid, widened as a half whose mirror is itself."""
 
     coeff_dtype = np.float64
 
-    def __init__(self, grid: TorusGrid):
-        super().__init__(grid)
+    def __init__(self, grid: TorusGrid, width: int | None = None):
+        super().__init__(grid, width)
         self.n_samples = grid.mode_count // 2
+
+    @cached_property
+    def twiddles(self) -> tuple:
+        """(e^{-i pi k/M}, e^{i pi k/M}) for k = 0..M/4."""
+        w = np.exp((-1j * np.pi / self.grid.mode_count)
+                   * np.arange(self.grid.mode_count // 4 + 1))
+        return w, np.conj(w)
 
     def band(self, full):
         return full[..., :self.width].real
 
     def samples(self, c, out=None, work=None):
-        return cosine_samples(c, self.grid, out=out, work=work)
+        """M/2 real samples (last axis) of the even field whose cosine
+        coefficients on modes 0..len(c)-1 (at most M/2) are the real c.
+
+        The samples are f(x_j) at x_j = (j + 1/2) lam/M in Makhoul's order:
+        entry j is sample 2j and entry M/2-1-j is sample 2j+1, j < M/4.
+        Modes beyond len(c) are zero. work, if given, holds the M/4+1
+        complex inputs of the irfft.
+        """
+        n, n_c = self.grid.mode_count // 2, c.shape[-1]
+        h = n // 2
+        if work is None:
+            work = np.empty(c.shape[:-1] + (h + 1,), dtype=np.complex128)
+        # z_k = e^{i pi k/M} (c_k - i c_{n-k}), k = 0..n/2; c_n and
+        # c_{>=n_c} are 0
+        r = min(n_c, h + 1)
+        work.real[..., :r] = c[..., :r]
+        work.real[..., r:] = 0.0
+        lo = max(n - n_c + 1, 1)
+        work.imag[..., :lo] = 0.0
+        np.negative(c[..., n - lo:n - h - 1:-1], out=work.imag[..., lo:])
+        np.multiply(work, self.twiddles[1], out=work)
+        return np.fft.irfft(work, n=n, norm="forward", out=out)
 
     def coeffs(self, samples, out=None, work=None):
-        return cosine_band(samples, self.grid, self.width - 1, out=out,
-                           work=work)
+        """Cosine coefficients on modes 0..width-1 of the M/2 samples (last
+        axis) in samples' grid and order, divided by M as the rfft half
+        divides: the real modes c_k of the even field. work, if given,
+        receives the whole rfft (last axis M/4+1).
+        """
+        n = self.grid.mode_count // 2
+        h, k_max = n // 2, self.width - 1
+        z = np.fft.rfft(samples, norm="forward", out=work)
+        np.multiply(z, self.twiddles[0], out=z)
+        if out is None:
+            out = np.empty(samples.shape[:-1] + (self.width,))
+        # c_k = Re(w_k z_k) and c_{n-k} = -Im(w_k z_k), k = 0..n/2
+        r = min(k_max, h)
+        out[..., :r + 1] = z.real[..., :r + 1]
+        np.negative(z.imag[..., h - 1:n - k_max - 1:-1],
+                    out=out[..., h + 1:])
+        return out
 
     def workspace(self):
         return np.empty(self.grid.mode_count // 4 + 1, dtype=np.complex128)
 
 
-_EVEN_PROBE = 8  # low modes of each piece _exactly_even looks at first
-
-
 def _exactly_even(pieces, m: int) -> bool:
     """Whether the M = m mode field given as disjoint (window, values)
     pieces, 0 off them, has real coefficients with c_{-k} == c_k bit for
-    bit (on every row, for a dense piece with leading row axes).
-
-    Each piece's first _EVEN_PROBE modes are checked before the whole
-    piece. The probe is part of the full test, so it only turns a generic
-    field down before the whole spectrum is read; the answer is the same.
-    """
-    for probe in (_EVEN_PROBE, None):
-        for sl, v in pieces:
-            v = v[..., :probe]
-            a, b = sl.start, sl.start + v.shape[-1]
-            if np.any(v.imag):
-                return False
-            if a == 0:  # mode 0 is its own mirror
-                a, v = 1, v[..., 1:]
-            if a < b and not np.array_equal(v.real, _values_at(
-                    pieces, m - b + 1, m - a + 1).real[..., ::-1]):
-                return False
+    bit (on every row, for a dense piece with leading row axes)."""
+    for sl, v in pieces:
+        a, b = sl.start, sl.start + v.shape[-1]
+        if np.any(v.imag):
+            return False
+        if a == 0:  # mode 0 is its own mirror
+            a, v = 1, v[..., 1:]
+        if a < b and not np.array_equal(v.real, _values_at(
+                pieces, m - b + 1, m - a + 1).real[..., ::-1]):
+            return False
     return True
 
 

@@ -19,7 +19,8 @@ from fracheat.families import (
     psi_hat_profile,
     verify_cascade,
 )
-from fracheat.grid import TorusGrid, _hermitian_defect, from_spectral, l2_norm
+from fracheat.grid import (SpectralField, TorusGrid, _hermitian_defect,
+                           from_spectral, l2_norm)
 from fracheat.picard import second_iterate_hat
 
 from conftest import hermitian_defect, sample_points
@@ -66,6 +67,10 @@ def test_phi_n_physical_samples():
     n, alpha = 512, 1.0
     f = build_phi_N(n, alpha, g)
     samples = from_spectral(f)
+    # read off the seed's pieces: the windowed seed is not made dense
+    assert "coeffs" not in vars(f)
+    np.testing.assert_array_equal(
+        samples, from_spectral(SpectralField(g, f.coeffs)))
     x = sample_points(g)
     x[x > g.period / 2] -= g.period  # symmetric window around 0
     peak = 2.0 * n**alpha / np.pi

@@ -12,17 +12,12 @@ from fracheat.grid import (
     _exactly_even,
     _hermitian_defect,
     apply_semigroup,
-    band_half,
-    band_samples,
-    cosine_band,
-    cosine_samples,
     dealiased_product,
     dealiased_product_coeffs,
     dealiased_square,
     field_basis,
     fractional_symbol,
     from_spectral,
-    hermitian_full,
     l2_norm,
     pair_with_test_function,
     to_spectral,
@@ -203,20 +198,21 @@ def test_band_primitives_against_masked_complex_fft(m):
     rng = np.random.default_rng(SEED)
     for k_max in (m // 8, m // 3, m // 2):  # m // 2 includes the Nyquist mode
         keep = np.abs(wavenumbers(g)) <= k_max
+        basis = HalfBasis(g, k_max + 1)
         for shape in ((m,), (2, m)):
             s = rng.standard_normal(shape)
             masked = np.where(keep, np.fft.fft(s) / m, 0.0)
-            h = band_half(s, g, k_max)
+            h = basis.coeffs(s)
             assert h.shape == shape[:-1] + (k_max + 1,)
             assert np.allclose(h, masked[..., :k_max + 1], atol=1e-15)
-            assert np.allclose(hermitian_full(h, g), masked, atol=1e-15)
-            assert np.allclose(band_samples(h, g),
+            assert np.allclose(basis.widen(h), masked, atol=1e-15)
+            assert np.allclose(basis.samples(h),
                                (np.fft.ifft(masked) * m).real, atol=1e-13)
             # any half, not only an rfft output, widens to an exactly
-            # Hermitian spectrum whose samples band_samples returns
+            # Hermitian spectrum whose samples the basis returns
             z = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-            for row, zrow in zip(np.atleast_2d(hermitian_full(z, g)),
-                                 np.atleast_2d(band_samples(z, g))):
+            for row, zrow in zip(np.atleast_2d(basis.widen(z)),
+                                 np.atleast_2d(basis.samples(z))):
                 assert hermitian_defect(row) == 0.0
                 assert np.allclose(from_spectral(SpectralField(g, row)), zrow,
                                    atol=1e-13)
@@ -248,11 +244,12 @@ def test_cosine_primitives_against_dct_and_masked_complex_fft(m):
     # the shifted grid x_j = (j + 1/2) lam/M: mode k picks up e^{i pi k/M}
     shift = np.exp(1j * np.pi * wavenumbers(g) / m)
     for k_max in sorted({m // 8, m // 3, n - 1}):
+        basis = CosineBasis(g, k_max + 1)
         for shape in ((k_max + 1,), (2, k_max + 1)):
             c = rng.standard_normal(shape)
             padded = np.zeros(shape[:-1] + (n,))
             padded[..., :k_max + 1] = c
-            v = cosine_samples(c, g)
+            v = basis.samples(c)
             assert v.shape == shape[:-1] + (n,)
             f = _unpermute(v)
             scale = max(1.0, np.max(np.abs(f)))
@@ -263,7 +260,7 @@ def test_cosine_primitives_against_dct_and_masked_complex_fft(m):
             assert np.max(np.abs(shifted[..., :n].imag)) < 1e-13 * scale
 
             s = rng.standard_normal(shape[:-1] + (n,))
-            h = cosine_band(s, g, k_max)
+            h = basis.coeffs(s)
             assert h.shape == shape
             want = scipy.fft.dct(_unpermute(s), type=2)[..., :k_max + 1] / m
             assert np.allclose(h, want, atol=1e-15)
@@ -274,7 +271,7 @@ def test_cosine_primitives_against_dct_and_masked_complex_fft(m):
             assert np.allclose(h, masked.real, atol=1e-15)
             assert np.max(np.abs(masked.imag)) < 1e-15
             # the pair is an exact round trip on modes below M/2
-            assert np.allclose(cosine_band(v, g, k_max), c, atol=1e-14)
+            assert np.allclose(basis.coeffs(v), c, atol=1e-14)
 
 
 def test_cosine_out_buffers_leave_values_unchanged():
@@ -282,16 +279,16 @@ def test_cosine_out_buffers_leave_values_unchanged():
     m = g.mode_count
     rng = np.random.default_rng(SEED)
     for k_max in (m // 8, m // 3, m // 2 - 1):
+        basis = CosineBasis(g, k_max + 1)
         c = rng.standard_normal((2, k_max + 1))
-        want = cosine_samples(c, g)
+        want = basis.samples(c)
         out = np.full((2, m // 2), 9.0)
         work = np.full((2, m // 4 + 1), 9.0 + 9.0j)
-        assert cosine_samples(c, g, out=out, work=work) is out
+        assert basis.samples(c, out=out, work=work) is out
         np.testing.assert_array_equal(out, want)
-        want = cosine_band(want, g, k_max)
+        want = basis.coeffs(want)
         out = np.full((2, k_max + 1), 9.0)
-        assert cosine_band(cosine_samples(c, g), g, k_max, out=out,
-                           work=work) is out
+        assert basis.coeffs(basis.samples(c), out=out, work=work) is out
         np.testing.assert_array_equal(out, want)
 
 
@@ -353,8 +350,8 @@ def test_hermitian_defect_equals_roll_oracle(m):
     rng = np.random.default_rng(SEED)
     cases = [rng.standard_normal(m) + 1j * rng.standard_normal(m)
              for _ in range(5)]
-    hermitian = hermitian_full(
-        rng.standard_normal(m // 2 + 1) + 1j * rng.standard_normal(m // 2 + 1), g)
+    hermitian = HalfBasis(g, m // 2 + 1).widen(
+        rng.standard_normal(m // 2 + 1) + 1j * rng.standard_normal(m // 2 + 1))
     cases.append(hermitian)
     imag_dc = hermitian.copy()
     imag_dc[0] += 3e-3j
@@ -442,8 +439,8 @@ def test_windowed_field_refuses_malformed_pieces():
 
 
 def test_out_buffers_leave_values_unchanged():
-    # prefilled output buffers must be overwritten whole: every primitive
-    # gives with out= exactly what it gives without
+    # prefilled output buffers must be overwritten whole: every basis
+    # method gives with out= exactly what it gives without
     g = TorusGrid(8.0, 64)
     m = g.mode_count
     rng = np.random.default_rng(SEED)
@@ -454,16 +451,17 @@ def test_out_buffers_leave_values_unchanged():
                        else 9.0)
 
     for k_max in (m // 8, m // 3, m // 2):
-        want = band_half(s, g, k_max)
+        half = HalfBasis(g, k_max + 1)
+        want = half.coeffs(s)
         out, work = junk((2, k_max + 1)), junk((2, m // 2 + 1))
-        assert band_half(s, g, k_max, out=out, work=work) is out
+        assert half.coeffs(s, out=out, work=work) is out
         np.testing.assert_array_equal(out, want)
         out = junk((2, m), float)
-        assert band_samples(want, g, out=out) is out
-        np.testing.assert_array_equal(out, band_samples(want, g))
+        assert half.samples(want, out=out) is out
+        np.testing.assert_array_equal(out, half.samples(want))
         out = junk((2, m))
-        assert hermitian_full(want, g, out=out) is out
-        np.testing.assert_array_equal(out, hermitian_full(want, g))
+        assert half.widen(want, out=out) is out
+        np.testing.assert_array_equal(out, half.widen(want))
     # each basis's transform pair and widening, on a 2-row stack
     for basis, data in ((HalfBasis(g), s), (CosineBasis(g), s[:, :m // 2])):
         want = basis.coeffs(data)

@@ -136,16 +136,59 @@ def _fft_references(tree: ast.Module):
             yield "scipy", node.lineno
 
 
+_COMPLEX_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+
+
+def _complex_transforms(tree: ast.Module):
+    # (what, line) of every np.fft.<complex transform> or its numpy.fft
+    # spelling
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in _COMPLEX_TRANSFORMS
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            yield f"{node.value.value.id}.fft.{node.attr}", node.lineno
+
+
+_BASES = ("HalfBasis", "CosineBasis")
+
+
+def _outside_basis_methods(tree: ast.Module):
+    # every top-level statement of a module but the two bases, and every
+    # statement of a basis's body that is not a method
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in _BASES:
+            yield from (item for item in node.body
+                        if not isinstance(item, ast.FunctionDef))
+        else:
+            yield node
+
+
 def test_only_grid_calls_an_fft():
-    # every transform goes through grid's primitives and bases, so one
-    # module holds the package's FFTs: the semigroup check's noise, say,
-    # goes through to_spectral, not through an FFT of its own
+    # every transform goes through the two bases in grid, so one module
+    # holds the package's FFTs: the semigroup check's noise, say, goes
+    # through to_spectral, not through an FFT of its own
     stray = [f"fracheat.{name}: {what} (line {line})"
              for name in MODULES if name != "grid"
              for what, line in _fft_references(
                  ast.parse((SRC / f"{name}.py").read_text()))]
     assert not stray, stray
-    assert list(_fft_references(ast.parse((SRC / "grid.py").read_text())))
+    grid_tree = ast.parse((SRC / "grid.py").read_text())
+    assert list(_fft_references(grid_tree))
+    # every field is real, so no module runs a complex transform
+    complex_ = [f"fracheat.{name}: {what} (line {line})" for name in MODULES
+                for what, line in _complex_transforms(
+                    ast.parse((SRC / f"{name}.py").read_text()))]
+    assert not complex_, complex_
+    # inside grid only the bases' methods reach np.fft
+    loose = [f"fracheat.grid.{getattr(node, 'name', '<statement>')}: {what} "
+             f"(line {line})"
+             for node in _outside_basis_methods(grid_tree)
+             for what, line in _fft_references(
+                 ast.Module(body=[node], type_ignores=[]))]
+    assert not loose, loose
 
 
 def _partition_parameters(node, scope):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracheat import grid, picard
+from fracheat import picard
 
 from fracheat.config import SolveConfig
 from fracheat.dyadic import (algebra_constant, make_partition, phi_profile,
@@ -14,9 +14,9 @@ from fracheat.dyadic import (algebra_constant, make_partition, phi_profile,
 from fracheat.errors import ConfigError, DomainError, ResolutionError
 from fracheat.evolution import duhamel_integrate, trapezoid_step
 from fracheat.families import build_phi_NR
-from fracheat.grid import (SpectralField, TorusGrid, dealiased_product,
-                           dealiased_square, field_basis, fractional_symbol,
-                           hermitian_full, to_spectral)
+from fracheat.grid import (CosineBasis, HalfBasis, SpectralField, TorusGrid,
+                           dealiased_product, dealiased_square, field_basis,
+                           fractional_symbol, to_spectral)
 from fracheat.picard import (
     duhamel_kernel,
     hs_norm_from_hat_scan,
@@ -269,8 +269,8 @@ def _full_band_seed(kind):
     g = TorusGrid(16.0, 256)
     rng = np.random.default_rng(SEED)
     if kind == "even":
-        return SpectralField(g, hermitian_full(
-            0.3 / 16 * rng.standard_normal(129), g))
+        return SpectralField(g, HalfBasis(g, 129).widen(
+            0.3 / 16 * rng.standard_normal(129)))
     return to_spectral(0.3 * rng.standard_normal(256), g)
 
 
@@ -401,10 +401,10 @@ def test_picard_terms_equal_serial_oracle_under_fast_switching():
             np.testing.assert_array_equal(term.coeffs, ref)
 
 
-def _fail_on(module, name, thread, at):
-    """Wrap module.<name> so its at-th call on the stage named `thread`
+def _fail_on(owner, name, thread, at):
+    """Wrap owner.<name> so its at-th call on the stage named `thread`
     ("lead" or "trail", each on a fracheat-march worker) raises."""
-    real_fn = getattr(module, name)
+    real_fn = getattr(owner, name)
     calls = [0]
     stage = "fracheat-march-1" if thread == "lead" else "fracheat-march-2"
 
@@ -422,7 +422,7 @@ def _fail_on(module, name, thread, at):
 # step (A_2, A_3) and the trailing one 3 (A_4..A_6), so their last calls
 # are the 32nd and the 48th.
 _STAGE_FAULTS = [(name, at, thread)
-                 for name, at in [("band_half", 1), ("band_half", 9),
+                 for name, at in [("coeffs", 1), ("coeffs", 9),
                                   ("trapezoid_step", 1),
                                   ("trapezoid_step", 20)]
                  for thread in ("lead", "trail")]
@@ -433,16 +433,16 @@ _STAGE_FAULTS += [("trapezoid_step", 32, "lead"),
 @pytest.mark.parametrize("name,at,thread", _STAGE_FAULTS)
 def test_picard_terms_stage_error_reaches_caller(monkeypatch, thread, name,
                                                  at):
-    # band_half's first call is at step 0 (the initial sources), so the
+    # coeffs' first call is at step 0 (the initial sources), so the
     # other stage is then still waiting on the first phase's barrier; the
     # later calls fail mid-march, and each stage's last trapezoid step
     # fails in the last phase that stage works in. Either way the error is
     # raised here and the worker is gone (the autouse fixture checks the
     # thread list too).
-    # The march reaches band_half through its basis, in grid.
+    # The generic seed's march transforms through HalfBasis.coeffs.
     seed = _full_band_seed(True)
-    module = grid if name == "band_half" else picard
-    monkeypatch.setattr(module, name, _fail_on(module, name, thread, at))
+    owner = HalfBasis if name == "coeffs" else picard
+    monkeypatch.setattr(owner, name, _fail_on(owner, name, thread, at))
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     exc = raised_within(lambda: picard_terms(seed, 6, cfg))
     assert isinstance(exc, RuntimeError)
@@ -563,18 +563,18 @@ def test_picard_terms_final_runs_on_the_calling_thread():
 
 @pytest.mark.parametrize("kind", [True, "even"])
 def test_picard_terms_widen_on_the_calling_thread_only(monkeypatch, kind):
-    # both bases widen through grid.hermitian_full; that full-spectrum
+    # both bases widen through HalfBasis.widen; that full-spectrum
     # work happens after the march, on this thread, on either route
     seed = _full_band_seed(kind)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     seen = []
-    real_fn = grid.hermitian_full
+    real_fn = HalfBasis.widen
 
     def recorded(*args, **kwargs):
         seen.append(threading.current_thread())
         return real_fn(*args, **kwargs)
 
-    monkeypatch.setattr(grid, "hermitian_full", recorded)
+    monkeypatch.setattr(HalfBasis, "widen", recorded)
     picard_terms(seed, 6, cfg)
     picard_terms(seed, 6, cfg, final=lambda u: sobolev_norm(u, -0.5))
     assert seen and set(seen) == {threading.current_thread()}
@@ -606,12 +606,13 @@ def test_seed_one_ulp_off_even_never_reaches_cosine_primitives(monkeypatch):
     c[5] = np.nextafter(c[5].real, np.inf)
     off = SpectralField(even.grid, c)
     calls = []
-    for name in ("cosine_samples", "cosine_band"):
-        def counted(*args, _fn=getattr(grid, name), _name=name, **kwargs):
+    for name in ("samples", "coeffs"):
+        def counted(*args, _fn=getattr(CosineBasis, name), _name=name,
+                    **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(grid, name, counted)
+        monkeypatch.setattr(CosineBasis, name, counted)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
     picard_terms(off, 4, cfg)
     dealiased_square(off)
@@ -620,7 +621,7 @@ def test_seed_one_ulp_off_even_never_reaches_cosine_primitives(monkeypatch):
     # the counter does see an exactly even seed
     picard_terms(even, 4, cfg)
     dealiased_square(even)
-    assert {"cosine_samples", "cosine_band"} <= set(calls)
+    assert {"samples", "coeffs"} <= set(calls)
 
 
 def test_second_iterate_peak_memory_does_not_grow_with_targets():

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from fracheat import dyadic, grid, picard
+from fracheat import grid, picard
 from fracheat._threads import run_two
 from fracheat.config import SolveConfig
 from fracheat.dyadic import algebra_constant
@@ -20,14 +20,15 @@ def test_no_march_stage_or_pair_worker_runs_on_the_calling_thread(
     # the march, and every pair's transforms, run on the named workers
     seen = []
 
-    def recorded(module, name):
-        real_fn = getattr(module, name)
+    def recorded(owner, name):
+        real_fn = getattr(owner, name)
+        label = f"{owner.__name__.rpartition('.')[2]}.{name}"
 
         def wrapped(*args, **kwargs):
-            seen.append((name, threading.current_thread().name))
+            seen.append((label, threading.current_thread().name))
             return real_fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
 
     g = TorusGrid(16.0, 256)
     rng = np.random.default_rng(SEED)
@@ -37,25 +38,25 @@ def test_no_march_stage_or_pair_worker_runs_on_the_calling_thread(
     even = grid.SpectralField(g, c)
     half = grid.to_spectral(rng.standard_normal(256), g)
     cfg = SolveConfig(alpha=0.75, T=0.25, dt=1 / 64, sign=1)
-    for name in ("band_half", "band_samples", "cosine_band",
-                 "cosine_samples"):
-        recorded(grid, name)
+    for basis in (grid.HalfBasis, grid.CosineBasis):
+        recorded(basis, "coeffs")
+        recorded(basis, "samples")
     recorded(picard, "trapezoid_step")
     for seed in (even, half):
         picard_terms(seed, 6, cfg, final=lambda u: None)
     march = set(seen)
     assert {name for name, _ in march} == {
-        "band_half", "band_samples", "cosine_band", "cosine_samples",
-        "trapezoid_step"}
+        "HalfBasis.coeffs", "HalfBasis.samples", "CosineBasis.coeffs",
+        "CosineBasis.samples", "picard.trapezoid_step"}
     assert {who for _, who in march} == {"fracheat-march-1",
                                          "fracheat-march-2"}
+    # algebra_constant transforms through HalfBasis, recorded above
     seen.clear()
-    recorded(dyadic, "band_half")
-    recorded(dyadic, "band_samples")
     algebra_constant(TorusGrid(8.0, 512), 2, n_pairs=40, seed=SEED)
+    assert {name for name, _ in seen} == {"HalfBasis.coeffs",
+                                          "HalfBasis.samples"}
     assert {who for _, who in seen} <= {"fracheat-pairs-1",
                                         "fracheat-pairs-2"}
-    assert seen
 
 
 def test_run_two_interrupt_while_joining_aborts_both_halves():
