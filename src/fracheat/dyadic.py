@@ -32,7 +32,7 @@ import numpy as np
 
 from ._threads import run_two
 from .errors import DegenerateWindowError, DomainError, ResolutionError
-from .grid import HalfBasis, SpectralField, TorusGrid, check_alpha
+from .grid import HalfBasis, SpectralField, TorusGrid, _values_at, check_alpha
 from .trajectory import Trajectory
 
 
@@ -226,27 +226,47 @@ def x_norm(traj: Trajectory, s: float, q: float, alpha: float) -> float:
     return a.value + b.value
 
 
-def _window_index(grid: TorusGrid, n_window: int) -> np.ndarray:
-    """Window number floor(xi_k / 2^N) of every mode (fft order), shifted so
-    the lowest window is 0; checks that 2^N fits between spacing and band."""
-    width = 2.0 ** float(n_window)
-    if width < grid.spacing:
-        raise DomainError(
-            f"window width 2^{n_window} is below the frequency spacing {grid.spacing:.3e}")
-    if width > grid.max_frequency:
-        raise DegenerateWindowError(
-            f"window width 2^{n_window} exceeds the band {grid.max_frequency:.3e}")
-    idx = np.floor(grid.frequencies / width).astype(np.int64)
-    idx -= idx.min()
-    return idx
+class _ModulationNorm:
+    """modulation_norm of real fields given as rfft halves h, modes
+    0..width-1: |h|^2 and the mirrors' masses, read from mode k, are summed
+    in fft order into as many windows as the whole spectrum has (np.sum is
+    pairwise, so the count matters), as for the widened half. One instance
+    serves one thread: the weights are a buffer reused by every call."""
+
+    def __init__(self, grid: TorusGrid, n_window: int, width: int):
+        size = 2.0 ** float(n_window)
+        if size < grid.spacing:
+            raise DomainError(f"window width 2^{n_window} is below the "
+                              f"frequency spacing {grid.spacing:.3e}")
+        if size > grid.max_frequency:
+            raise DegenerateWindowError(f"window width 2^{n_window} exceeds "
+                                        f"the band {grid.max_frequency:.3e}")
+        m = grid.mode_count
+        self.n_mirror = min(width - 1, m - width)  # mode M/2 is its own mirror
+        # the highest window holds mode M/2 - 1 and the lowest mode -M/2
+        top, low = np.floor(grid.frequencies_at(slice(m // 2 - 1, m // 2 + 1))
+                            / size).astype(np.int64)
+        fft_index = np.r_[0:width, m - self.n_mirror:m]
+        self.index = np.floor(grid.frequencies_at(fft_index) / size).astype(
+            np.int64) - low
+        self.n_windows = int(top - low) + 1
+        self.period = grid.period
+        self.weights = np.empty(width + self.n_mirror)
+
+    def __call__(self, h: np.ndarray) -> float:
+        w, n = self.weights, h.shape[-1]
+        np.square(np.abs(h, out=w[:n]), out=w[:n])
+        w[n:] = w[self.n_mirror:0:-1]
+        mass = np.bincount(self.index, weights=w, minlength=self.n_windows)
+        return float(np.sum(np.sqrt(self.period * mass)))
 
 
 def modulation_norm(u: SpectralField, n_window: int) -> float:
     """(M_{2,1})_N norm with windows [m 2^N, (m+1) 2^N): sum over windows of
-    the lattice L^2 mass (lam sum_{window} |c_k|^2)^{1/2}."""
-    mass = np.bincount(_window_index(u.grid, n_window),
-                       weights=np.abs(u.coeffs) ** 2)
-    return float(np.sum(np.sqrt(u.grid.period * mass)))
+    the lattice L^2 mass (lam sum_{window} |c_k|^2)^{1/2}, on the rfft half."""
+    width = u.grid.mode_count // 2 + 1
+    return _ModulationNorm(u.grid, n_window, width)(
+        _values_at(u.pieces, 0, width))
 
 
 @dataclass(frozen=True)
@@ -257,33 +277,6 @@ class AlgebraReport:
     n_pairs: int
     max_ratio: float
     c0: float
-
-
-class _HalfNorm:
-    """modulation_norm of real fields given as rfft halves h = modes 0..k_max.
-
-    The masses are summed in fft order with the mirror conj(h) included,
-    into as many windows as the full spectrum has, so the value equals
-    modulation_norm of HalfBasis.widen(h) bit for bit (np.sum is pairwise,
-    so the window count matters). The modes that are zero are skipped.
-    h[0] must be real, as an rfft's mode 0 is. One instance serves one
-    thread: the weights are a buffer reused by every call.
-    """
-
-    def __init__(self, index: np.ndarray, k_max: int, period: float):
-        self.index = np.concatenate([index[:k_max + 1],
-                                     index[index.size - k_max:]])
-        self.n_windows = int(index.max()) + 1
-        self.period = period
-        self.k_max = k_max
-        self.weights = np.empty(2 * k_max + 1)
-
-    def __call__(self, h: np.ndarray) -> float:
-        w, k = self.weights, self.k_max
-        np.square(np.abs(h, out=w[:k + 1]), out=w[:k + 1])
-        w[k + 1:] = w[k:0:-1]
-        mass = np.bincount(self.index, weights=w, minlength=self.n_windows)
-        return float(np.sum(np.sqrt(self.period * mass)))
 
 
 class _PairDraws:
@@ -323,36 +316,34 @@ def algebra_constant(grid: TorusGrid, n_window: int, n_pairs: int = 100,
     generator, made under a lock so the draws keep stream order whichever
     worker takes them, and is carried as rfft halves in that worker's
     buffers, allocated once per call: HalfBasis(grid, M/8 + 1) transforms
-    the draws and HalfBasis(grid), the 2/3 band, the product. The maximum
-    over pairs does not depend on which worker saw which pair, so the
-    result does not either.
+    the draws and HalfBasis(grid).product multiplies them into the 2/3
+    band. The maximum over pairs does not depend on which worker saw which
+    pair, so the result does not either.
     n_pairs must be at least 1: C0 divides the inflation time T_N.
     """
     if n_pairs < 1:
         raise DomainError(f"need at least one pair, got {n_pairs}")
-    index = _window_index(grid, n_window)
+    _ModulationNorm(grid, n_window, 1)  # refuses a bad window on this thread
     m = grid.mode_count
     basis_in, basis_out = HalfBasis(grid, m // 8 + 1), HalfBasis(grid)
-    k_in, k_out = basis_in.width - 1, basis_out.width - 1
     half = 2.0 ** (n_window / 2.0)
     draws = _PairDraws(np.random.default_rng(seed), n_pairs)
     worst = [0.0, 0.0]
 
     def worker(slot):
-        norm_in = _HalfNorm(index, k_in, grid.period)
-        norm_out = _HalfNorm(index, k_out, grid.period)
+        norm_in = _ModulationNorm(grid, n_window, basis_in.width)
+        norm_out = _ModulationNorm(grid, n_window, basis_out.width)
         fields = np.empty((2, m))  # the draws, then the band-limited samples
         spectrum = np.empty((2, m // 2 + 1), dtype=np.complex128)
-        h_in = np.empty((2, k_in + 1), dtype=np.complex128)
-        h_out = np.empty(k_out + 1, dtype=np.complex128)
+        h_in = np.empty((2, basis_in.width), dtype=np.complex128)
+        h_out = np.empty(basis_out.width, dtype=np.complex128)
         while draws.draw(fields):
             # one rfft per row: a batched one faults in fresh pages per call
             for row in range(2):
                 basis_in.coeffs(fields[row], out=h_in[row],
                                 work=spectrum[row])
-            basis_in.samples(h_in, out=fields)
-            product = np.multiply(fields[0], fields[1], out=fields[0])
-            basis_out.coeffs(product, out=h_out, work=spectrum[0])
+            basis_out.product(h_in[0], h_in[1], out=h_out, work=spectrum[0],
+                              samples=fields)
             num = norm_out(h_out)
             den = half * norm_in(h_in[0]) * norm_in(h_in[1])
             worst[slot] = max(worst[slot], num / den)

@@ -255,7 +255,9 @@ def validate_config(name: str, overrides: Optional[Mapping] = None) -> Dict:
         want = _KEYS[key].type
         try:
             cfg[key] = want(raw)
-        except (TypeError, ValueError):
+            if want is int and not isinstance(raw, str) and cfg[key] != raw:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{name}.{key}: expected {want.__name__}, "
                               f"got {raw!r}") from None
     _check_domains(name, exp, cfg)

@@ -30,11 +30,11 @@ is a complex FFT.
   pointwise products read them, and the 2/3-rule product is exact on any
   shifted grid, so neither the shift nor the order is undone.
 
-field_basis picks the basis of a dealiased product from the symmetry of
-the inputs alone. A basis's samples and coeffs take a numpy-style out=
-and a work= for the half-length complex buffer of their transform (the
-rfft half's samples ignore work), and widen takes an out=, so a march
-can reuse its buffers; the values do not depend on them.
+field_basis picks a product's basis from the symmetry of the inputs
+alone; the basis's product multiplies two bands. samples, coeffs and
+product take a numpy-style out= and a work= for the half-length complex
+buffer of their transform (the half's samples ignore it), and widen an
+out=, so callers can reuse buffers; the values do not depend on them.
 """
 
 from __future__ import annotations
@@ -382,6 +382,14 @@ class HalfBasis:
             out[..., m // 2] = out[..., m // 2].real
         return out
 
+    def product(self, a, b, out=None, work=None, samples=(None, None)):
+        """Band of the 2/3-rule product of the fields whose bands are a and
+        b (b may be a), multiplied in place into the samples of a; samples
+        holds out= arrays for the two (the second unused when b is a)."""
+        x = self.samples(a, out=samples[0], work=work)
+        y = x if b is a else self.samples(b, out=samples[1], work=work)
+        return self.coeffs(np.multiply(x, y, out=x), out=out, work=work)
+
     def workspace(self):
         return np.empty(self.grid.mode_count // 2 + 1, dtype=np.complex128)
 
@@ -487,9 +495,8 @@ def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray,
     """Raw-array core of the dealiased product of real fields (no field
     validation), in the basis field_basis picks for the inputs."""
     basis = field_basis(grid, *((cu,) if cv is cu else (cu, cv)))
-    a = basis.samples(basis.band(cu))
-    b = a if cv is cu else basis.samples(basis.band(cv))
-    return basis.widen(basis.coeffs(a * b))
+    a = basis.band(cu)
+    return basis.widen(basis.product(a, a if cv is cu else basis.band(cv)))
 
 
 def pair_with_test_function(field: SpectralField,

@@ -24,8 +24,8 @@ class Trajectory:
         if c.ndim != 2 or c.shape[1] != self.grid.mode_count:
             raise DimensionError(
                 f"coefficient array has shape {c.shape}, grid wants (n, {self.grid.mode_count})")
-        if self.dt < 0.0 or (c.shape[0] > 1 and self.dt == 0.0):
-            raise DomainError(f"node spacing must be positive, got {self.dt}")
+        if not (0.0 < self.dt < np.inf or self.dt == 0.0 and c.shape[0] < 2):
+            raise DomainError(f"need a finite node spacing > 0, got {self.dt}")
         object.__setattr__(self, "coeffs", c)
 
     @property

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracheat import dyadic
 from fracheat.dyadic import (
     AlgebraReport,
     algebra_constant,
@@ -30,7 +31,8 @@ from fracheat.grid import (HalfBasis, SpectralField, TorusGrid,
 from fracheat.picard import second_iterate_hat
 from fracheat.trajectory import Trajectory
 
-from conftest import SEED, raised_within, random_band_field, threads_named
+from conftest import (SEED, log_cached_builds, raised_within,
+                      random_band_field, threads_named)
 
 
 def test_eta_profile():
@@ -458,6 +460,43 @@ def test_modulation_indicator_window():
                                     rel=2e-3)
 
 
+def _modulation_oracle(u, n_window):
+    """modulation_norm on the whole spectrum: every mode's window number
+    from the cached frequencies, one bincount over all M masses."""
+    idx = np.floor(u.grid.frequencies / 2.0**n_window).astype(np.int64)
+    mass = np.bincount(idx - idx.min(), weights=np.abs(u.coeffs) ** 2)
+    return float(np.sum(np.sqrt(u.grid.period * mass)))
+
+
+@pytest.mark.parametrize("lam,m,n_window", [
+    (8.0, 512, 2), (4.0, 2 ** 12, 8), (64.0, 1024, 1), (4.0, 64, 3),
+    (16.0, 2 ** 14, 0)])
+def test_modulation_norm_matches_whole_spectrum_oracle(lam, m, n_window):
+    # the norm read off the rfft half is the whole-spectrum sum bit for
+    # bit on an exactly Hermitian field
+    g = TorusGrid(lam, m)
+    rng = np.random.default_rng(SEED)
+    full = to_spectral(rng.standard_normal(m), g)
+    top = full.coeffs[m // 2]
+    assert top != 0 and top.imag == 0  # the real mode M/2 counts once
+    for u in (full, random_band_field(g, g.max_frequency / 3, rng)):
+        assert modulation_norm(u, n_window) == _modulation_oracle(u, n_window)
+
+
+@pytest.mark.parametrize("lam,m,family,n,n_window", [
+    (128.0, 2 ** 19, "psiN", 6, 4), (4.0, 2 ** 14, "phiNR", 10, 10)])
+def test_modulation_norm_of_a_windowed_seed_stays_on_its_pieces(
+        monkeypatch, lam, m, family, n, n_window):
+    built = log_cached_builds(monkeypatch, TorusGrid, "frequencies")
+    densified = log_cached_builds(monkeypatch, SpectralField, "coeffs")
+    u, _ = _windowed_seed(lam, m, family, n)
+    got = modulation_norm(u, n_window)
+    assert not built, built
+    assert not densified, densified
+    monkeypatch.undo()
+    assert got == _modulation_oracle(u, n_window)
+
+
 def test_modulation_window_errors():
     g = TorusGrid(4.0, 64)  # spacing pi/2, band 16 pi
     u = SpectralField(g, np.zeros(64, dtype=complex))
@@ -561,12 +600,17 @@ def test_algebra_constant_worker_error_reaches_caller(monkeypatch, worker):
     assert not threads_named("fracheat-pairs")
 
 
-def test_algebra_constant_window_errors():
+def test_algebra_constant_window_errors(monkeypatch):
     g = TorusGrid(4.0, 64)  # spacing pi/2, band 16 pi
+    # a bad window is refused on the calling thread, before the workers
+    started = []
+    monkeypatch.setattr(dyadic, "run_two",
+                        lambda *args: started.append(args))
     with pytest.raises(DomainError):
         algebra_constant(g, -2, n_pairs=1)
     with pytest.raises(DegenerateWindowError):
         algebra_constant(g, 7, n_pairs=1)
+    assert not started
     # no pair gives no ratio, and C0 = 0 would make T_N infinite
     for n_pairs in (0, -3):
         with pytest.raises(DomainError):

@@ -26,6 +26,16 @@ def free_trajectory(u0: SpectralField, alpha: float, dt: float,
     return Trajectory(u0.grid, dt, rows)
 
 
+def test_trajectory_refuses_a_bad_node_spacing():
+    # a NaN or infinite dt would give NaN times and a NaN x_norm
+    g = TorusGrid(2 * np.pi, 16)
+    rows = np.zeros((3, 16), dtype=complex)
+    for dt in (float("nan"), float("inf"), -0.1, 0.0):
+        with pytest.raises(DomainError, match="node spacing"):
+            Trajectory(g, dt, rows)
+    assert Trajectory(g, 0.0, rows[:1]).n_nodes == 1
+
+
 def test_duhamel_zero_and_constant_sources():
     g = TorusGrid(2 * np.pi, 16)
     zero = Trajectory(g, 0.1, np.zeros((5, 16), dtype=complex))

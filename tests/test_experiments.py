@@ -99,6 +99,16 @@ def test_validate_config_names_the_offending_key():
         validate_config("semigroup-check", {"alpha": "chair"})
     with pytest.raises(ConfigError, match="expected int"):
         validate_config("semigroup-check", {"modes": "1.5"})
+    # a float through the library API: int() would truncate the first
+    # three and overflow on the last
+    for name, key, raw in (("cascade", "N_max", 12.9),
+                           ("semigroup-check", "modes", 4096.5),
+                           ("semigroup-check", "seed", 3.7),
+                           ("cascade", "N_max", float("inf"))):
+        with pytest.raises(ConfigError, match=f"{name}.{key}: expected int"):
+            validate_config(name, {key: raw})
+    cfg = validate_config("cascade", {"N_max": 12.0})
+    assert cfg["N_max"] == 12 and type(cfg["N_max"]) is int
     with pytest.raises(ConfigError, match="unknown experiment"):
         validate_config("nonesuch")
 

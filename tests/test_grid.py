@@ -474,6 +474,19 @@ def test_out_buffers_leave_values_unchanged():
         out = junk((2, m))
         assert basis.widen(want, out=out) is out
         np.testing.assert_array_equal(out, basis.widen(want))
+        # the product of a band with itself and with another band
+        a = want[0]
+        for b in (a, want[1]):
+            expect = basis.coeffs(basis.samples(a) * basis.samples(b))
+            np.testing.assert_array_equal(basis.product(a, b), expect)
+            out = junk(basis.width, basis.coeff_dtype)
+            work = basis.workspace()
+            work.fill(9.0 + 9.0j)
+            samples = [junk(basis.n_samples, basis.sample_dtype)
+                       for _ in range(2)]
+            assert basis.product(a, b, out=out, work=work,
+                                 samples=samples) is out
+            np.testing.assert_array_equal(out, expect)
 
 
 def test_dealiased_square_exact_on_harmonics():

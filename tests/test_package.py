@@ -63,8 +63,7 @@ def test_every_exported_name_resolves(name):
 # The readers outside grid.py of the cached whole-lattice
 # TorusGrid.frequencies: each needs every mode. A windowed reader takes its
 # modes through frequencies_at, so that it never builds the whole lattice.
-WHOLE_SPECTRUM_READERS = {"dyadic.sobolev_norm", "dyadic._window_index",
-                          "experiments._run_semigroup"}
+WHOLE_SPECTRUM_READERS = {"dyadic.sobolev_norm", "experiments._run_semigroup"}
 
 
 def _attribute_readers(node, attr, scope):
@@ -89,6 +88,17 @@ def test_only_whole_spectrum_readers_take_the_cached_frequencies():
              if scope not in WHOLE_SPECTRUM_READERS]
     assert not stray, f".frequencies read outside the allowlist: {stray}"
     assert {scope for scope, _ in readers} == WHOLE_SPECTRUM_READERS
+
+
+def test_one_kernel_sums_the_window_masses():
+    # every modulation norm, whole field or rfft half, sums its window
+    # masses in the one kernel, so its window count and order are shared
+    sites = [(scope, line) for name in MODULES
+             for scope, line in _attribute_readers(
+                 ast.parse((SRC / f"{name}.py").read_text()), "bincount",
+                 name)]
+    assert [scope for scope, _ in sites] == [
+        "dyadic._ModulationNorm.__call__"], sites
 
 
 def _raised_names(func: ast.FunctionDef):
