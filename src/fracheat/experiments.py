@@ -376,11 +376,8 @@ def _classify_cell(alpha: float, s: float, ns, grid: TorusGrid,
         den2 = 2.0 * np.trapezoid((1.0 + band ** 2) ** s, band) / (2.0 * np.pi)
         top = 2.0 * (n + 2.0) + 1.0
         scan = np.linspace(0.0, top, int(8 * top) + 1)
-        best = 0.0
-        for t in ts:
-            za = second_iterate_hat(profile, float(t), scan, alpha, grid)
-            best = max(best, hs_norm_from_hat_scan(scan, za, s) / den2)
-        rhos.append(best)
+        za = second_iterate_hat(profile, ts, scan, alpha, grid)
+        rhos.append(max(hs_norm_from_hat_scan(scan, z, s) / den2 for z in za))
     fit = fit_exponent(zip(ns, rhos))
     return rhos, fit.slope
 

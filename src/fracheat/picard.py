@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from ._threads import run_two
 from .config import SolveConfig
-from .errors import DomainError, ResolutionError
+from .errors import DimensionError, DomainError, ResolutionError
 from .evolution import trapezoid_step
 from .grid import (SpectralField, TorusGrid, _values_at, check_alpha,
                    field_basis)
@@ -48,17 +48,28 @@ def duhamel_kernel(xi, xi1, t: float, alpha: float):
     t e^{-|xi|^{2a}t} (1 + theta t/2 + (theta t)^2/6).
     """
     check_alpha(alpha)
-    if t < 0:
-        raise DomainError(f"kernel time must be >= 0, got {t}")
+    _check_times(t)
     out = _kernels.duhamel_kernel_values(
         np.asarray(xi, dtype=float), np.asarray(xi1, dtype=float),
         float(t), float(alpha))
     return float(out) if out.ndim == 0 else out
 
 
-def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
+def _check_times(t) -> np.ndarray:
+    """t as a float array: a scalar or 1-D array of finite times >= 0."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise DomainError(
+            f"times must be finite and >= 0 in a scalar or 1-D array, got {t}")
+    return times
+
+
+def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t,
                        xi, alpha: float, lattice: TorusGrid):
-    """Closed-form second iterate transform at frequencies xi.
+    """Closed-form second iterate transform at frequencies xi and times t.
+
+    t is a scalar or a 1-D array; an array gives one row per time, of xi's
+    shape. The nodes and weights are found once for all the times.
 
     Riemann sum 2 (2 pi/lam) sum_{xi1 lattice} phihat(xi1) phihat(xi-xi1)
     K(xi, xi1, t) over the support of phihat, which must sit strictly inside
@@ -73,8 +84,7 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
     [0, max|xi_k|], the whole lattice. The nodes keep fft order either way.
     """
     check_alpha(alpha)
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    times = _check_times(t)
     parts = getattr(phihat, "parts", ((0.0, lattice.max_frequency, phihat),))
     nodes, node_w = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for lo, hi, f in parts:
@@ -97,7 +107,7 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
             "phihat support reaches the edge of the lattice band; enlarge the band")
     targets = np.atleast_1d(np.asarray(xi, dtype=float))
     if nz.size == 0:
-        vals = np.zeros(targets.shape[0])
+        vals = np.zeros(times.shape + targets.shape)
     else:
         xi1 = lattice.frequencies_at(nz)
         w1 = w1[None, :]
@@ -108,8 +118,10 @@ def second_iterate_hat(phihat: Callable[[np.ndarray], np.ndarray], t: float,
 
         prefac = 4.0 * np.pi / lattice.period
         vals = _kernels.second_iterate_values(
-            targets, xi1, weights, float(t), float(alpha), prefac)
-    return float(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
+            targets, xi1, weights, times, float(alpha), prefac)
+    if np.ndim(xi) > 0:
+        return vals
+    return float(vals[0]) if times.ndim == 0 else vals[:, 0]
 
 
 def picard_terms(seed: SpectralField, n_terms: int, config: SolveConfig, *,
@@ -284,11 +296,16 @@ def hs_norm_from_hat_scan(xi_scan: np.ndarray, hat_values: np.ndarray,
     """H^s norm of an even continuum transform sampled on a nonnegative scan.
 
     Trapezoid of (1/2pi) int (1+xi^2)^s |hat|^2 dxi, doubled for the xi < 0
-    half; the scan must be nonempty, start at 0 and increase.
+    half; the scan must be nonempty, start at 0 and increase, and
+    hat_values must have its shape.
     """
     xi = np.asarray(xi_scan, dtype=float)
     if xi.size == 0 or xi[0] != 0.0 or np.any(np.diff(xi) <= 0):
         raise DomainError(
             "scan must be nonempty, start at 0 and be strictly increasing")
-    integrand = (1.0 + xi**2) ** s * np.asarray(hat_values, dtype=float) ** 2
+    hat = np.asarray(hat_values, dtype=float)
+    if hat.shape != xi.shape:
+        raise DimensionError(
+            f"hat_values has shape {hat.shape}, the scan {xi.shape}")
+    integrand = (1.0 + xi**2) ** s * hat ** 2
     return float(np.sqrt(2.0 * np.trapezoid(integrand, xi) / (2.0 * np.pi)))

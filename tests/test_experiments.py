@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fracheat
+from fracheat import experiments
 from fracheat.errors import BudgetError, ConfigError, DomainError
 from fracheat.experiments import (
     EXPERIMENT_NAMES,
@@ -26,6 +27,7 @@ from fracheat.experiments import (
     validate_config,
 )
 from fracheat.grid import SpectralField, TorusGrid
+from fracheat.picard import second_iterate_hat
 
 from conftest import log_cached_builds
 
@@ -365,6 +367,20 @@ def test_wellposed_single_cell_ill():
     assert rec.values["classification"] == "ill"
     assert rec.passed
     assert rec.values["slope"] > 0.04
+
+
+def test_wellposed_cell_makes_one_quadrature_call_per_n(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return second_iterate_hat(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "second_iterate_hat", counted)
+    rec = run_experiment("wellposed-scaling", {})
+    assert rec.values["N"] == [7, 8, 9, 10, 11, 12]
+    assert len(calls) == 6
+    assert all(np.shape(t) == (9,) for t in calls)
 
 
 def test_cascade_pipeline():

@@ -6,14 +6,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracheat import picard
+from fracheat import _kernels, picard
 
 from fracheat.config import SolveConfig
 from fracheat.dyadic import (algebra_constant, make_partition, phi_profile,
                              sobolev_norm)
-from fracheat.errors import ConfigError, DomainError, ResolutionError
+from fracheat.errors import (ConfigError, DimensionError, DomainError,
+                             ResolutionError)
 from fracheat.evolution import duhamel_integrate, trapezoid_step
-from fracheat.families import build_phi_NR
+from fracheat.families import build_phi_NR, phi_hat_profile
 from fracheat.grid import (CosineBasis, HalfBasis, SpectralField, TorusGrid,
                            dealiased_product, dealiased_square, field_basis,
                            fractional_symbol, to_spectral)
@@ -90,6 +91,9 @@ def test_kernel_domain_errors():
         duhamel_kernel(1.0, 1.0, -0.1, 0.5)
     with pytest.raises(DomainError):
         duhamel_kernel(1.0, 1.0, 0.1, 1.5)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            duhamel_kernel(1.0, 0.5, t, 0.75)
 
 
 def band_indicator(xi):
@@ -112,6 +116,42 @@ def test_second_iterate_basic_properties():
     wide = lambda x: np.ones_like(np.asarray(x, dtype=float))
     with pytest.raises(ResolutionError):
         second_iterate_hat(wide, 0.5, 0.0, 0.75, g)
+
+
+def test_second_iterate_refuses_bad_times():
+    g = TorusGrid(64.0, 2048)
+    profile = phi_hat_profile(8, 0.0)
+    for t in (np.nan, np.inf, -0.1, [0.5, np.nan], [0.5, np.inf],
+              [0.1, -0.1], [[0.5]]):
+        with pytest.raises(DomainError):
+            second_iterate_hat(profile, t, [0.0, 1.0], 0.75, g)
+
+
+def test_second_iterate_times_equal_stacked_scalar_calls():
+    times = np.array([0.0, 1e-5, 0.01, 0.5, 2.0])
+
+    def assert_rows(phihat, xi, g):
+        got = second_iterate_hat(phihat, times, xi, 0.75, g)
+        want = np.stack([second_iterate_hat(phihat, float(t), xi, 0.75, g)
+                         for t in times])
+        assert got.shape == (times.size,) + np.shape(xi)
+        assert np.array_equal(got, want)
+
+    # the phase-diagram scan
+    g = TorusGrid(64.0, 2048)
+    assert_rows(phi_hat_profile(8, 0.0), np.linspace(0.0, 21.0, 169), g)
+    # a scalar target: one value per time
+    assert_rows(phi_hat_profile(8, 0.0), 18.0, g)
+    # a dense target set over several row tiles, the last one partial
+    nodes = np.count_nonzero(band_indicator(TorusGrid(16.0, 256).frequencies))
+    rows = _kernels.TILE_ELEMS // nodes
+    assert_rows(band_indicator, np.linspace(-3.0, 3.0, 2 * rows + 5),
+                TorusGrid(16.0, 256))
+    # an empty support: zeros, one row per time
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    got = second_iterate_hat(zero, times, np.linspace(-3.0, 3.0, 7), 0.75,
+                             TorusGrid(16.0, 256))
+    assert got.shape == (times.size, 7) and not got.any()
 
 
 def tent_profile(xi):
@@ -712,3 +752,5 @@ def test_hs_norm_from_hat_scan():
         hs_norm_from_hat_scan(np.array([0.5, 1.0]), np.ones(2), 0.0)
     with pytest.raises(DomainError):
         hs_norm_from_hat_scan(np.array([]), np.array([]), 0.0)
+    with pytest.raises(DimensionError):
+        hs_norm_from_hat_scan(np.array([0.0, 1.0]), np.ones(1), 0.0)
