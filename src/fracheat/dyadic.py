@@ -9,24 +9,19 @@ which covers the whole grid band once J = floor(log2(max|xi_k|)).
 
 The partition is the grid's: make_partition(grid) is the only one a field
 on that grid has, so the norms and lp_block take none and build it from
-the field's grid. A partition keeps each block's support windows
-(TorusGrid.support_windows) and evaluates the bump on them, clipped to
-the window asked for, each time it is read: off the windows the bump is
-exactly 0, and the bump is elementwise, so a clipped value is the
-unclipped one, and multiplier(j) is bit for bit the dense block.
-
-The block table behind the Besov norms and x_norm reads a field's pieces
-(a windowed seed's few windows, or a dense field's single piece [0, M)):
-it squares |c| on each piece and sums each block over its windows
-clipped to that piece, so a seed's norm never evaluates the blocks off
-its support.
+the field's grid. It keeps no values: every reader splits its modes by
+octave (_octave_split), one eta per mode. A mode in 2^m <= |xi| < 2^{m+1}
+lies in blocks m-1 and m alone, carrying e = eta(xi/2^m) and 1 - e, bit
+for bit phi(xi/2^j) as xi/2^m is exact; so multiplier(j) is the dense
+block. The block table behind the Besov norms and x_norm sums |c|^2 e^2
+and |c|^2 (1 - e)^2 over each run of one octave of a field's pieces, so a
+windowed seed's norm evaluates the bump on its support alone.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,60 +50,41 @@ def phi_profile(xi) -> np.ndarray:
     return eta(xi / 2.0) - eta(xi)
 
 
+def _octave_split(xi: np.ndarray) -> tuple:
+    """(m, e) per mode: 2^m <= |xi| < 2^{m+1} and e = eta(xi/2^m), or m = 0
+    and e = 1 for |xi| < 1. The one place this module evaluates the bump."""
+    mant, ex = np.frexp(np.abs(xi))  # |xi| = (2 mant) 2^{ex-1}
+    return np.maximum(ex - 1, 0), np.where(ex > 0, eta(2.0 * mant), 1.0)
+
+
 @dataclass(frozen=True)
 class DyadicPartition:
-    """The dyadic blocks j = -1 .. j_max of one grid, each read as
-    (window, values) pairs on the modes its support reaches."""
+    """The dyadic blocks j = -1 .. j_max of one grid."""
 
     grid: TorusGrid
     j_max: int
 
     def windows(self, j: int) -> tuple:
         """Block j as ((slice, values), ...) over its support windows."""
+        block = self.multiplier(j)
+        edges = (0.0, 2.0) if j == -1 else (2.0**j, 2.0 ** (j + 2))
+        return tuple((sl, block[sl])
+                     for sl in self.grid.support_windows(*edges))
+
+    def multiplier(self, j: int) -> np.ndarray:
+        """Block j on the whole grid, fft order; a fresh array per call."""
         if j < -1:
             raise DomainError(f"block index must be >= -1, got {j}")
         if j > self.j_max:
             raise ResolutionError(
                 f"block {j} exceeds j_max = {self.j_max} for this grid band")
-        return self._clipped(slice(0, self.grid.mode_count), j)
-
-    @cached_property
-    def _layout(self) -> tuple:
-        # the support windows of each block: |xi| <= 2 for block -1,
-        # 2^j <= |xi| <= 2^{j+2} for block j
-        return tuple(self.grid.support_windows(*((0.0, 2.0) if j == -1 else
-                                                 (2.0**j, 2.0 ** (j + 2))))
-                     for j in self.block_range)
-
-    def _clipped(self, window: slice, j: int) -> tuple:
-        """Block j as ((slice, values), ...) over its support windows
-        clipped to window, evaluated afresh on those modes alone: block
-        j >= 0 is phi_profile(xi/2^j) and block -1 is eta, both
-        elementwise, so each value is the unclipped block's at that mode."""
-        def block(sl):
-            xi = self.grid.frequencies_at(sl)
-            return eta(xi) if j == -1 else phi_profile(xi / 2.0**j)
-        return tuple((sl, block(sl))
-                     for sl in _clip(self._layout[j + 1], window))
-
-    def multiplier(self, j: int) -> np.ndarray:
-        """Block j on the whole grid, fft order; a fresh array per call."""
-        m = np.zeros(self.grid.mode_count)
-        for sl, vals in self.windows(j):
-            m[sl] = vals
-        return m
+        m, e = _octave_split(
+            self.grid.frequencies_at(slice(0, self.grid.mode_count)))
+        return np.where(m == j + 1, e, np.where(m == j, 1.0 - e, 0.0))
 
     @property
     def block_range(self) -> range:
         return range(-1, self.j_max + 1)
-
-
-def _clip(windows: tuple, window: slice):
-    # the nonempty intersections of fft-order slices with one window
-    for sl in windows:
-        a, b = max(sl.start, window.start), min(sl.stop, window.stop)
-        if a < b:
-            yield slice(a, b)
 
 
 def make_partition(grid: TorusGrid) -> DyadicPartition:
@@ -141,42 +117,59 @@ def _check_q(q: float) -> float:
     return q
 
 
-def _lq(values: np.ndarray, q: float) -> float:
+def _weighted_report(kind: str, per_block: np.ndarray, s: float,
+                     q: float) -> NormReport:
+    # per_block holds a value per block, j = -1 up
+    weighted = 2.0 ** (np.arange(-1, per_block.size - 1) * s) * per_block
     if q == np.inf:
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**q) ** (1.0 / q))
+        value = float(np.max(weighted))
+    else:
+        value = float(np.sum(weighted**q) ** (1.0 / q))
+    return NormReport(kind, s, q, None, value, tuple(weighted))
 
 
-def _block_l2_table(pieces, n_nodes: int, grid: TorusGrid) -> np.ndarray:
+_CHUNK = 2**15  # modes per octave split in the block table
+
+
+def _block_l2_table(index: np.ndarray, values: np.ndarray,
+                    grid: TorusGrid) -> np.ndarray:
     """(n_blocks, n_nodes) table of ||Delta_j u(t_i)||_{L^2}, blocks
-    j = -1 .. j_max of the grid's partition.
-
-    pieces lists disjoint (window, values) pairs, values of shape
-    (n_nodes, window length), that hold every nonzero mode. |c|^2 is
-    formed on them alone, and each block is summed over its windows
-    clipped to them; a dense single piece [0, M) sums each block over its
-    whole windows.
+    j = -1 .. j_max, of the field equal to values (n_nodes, len(index)) at
+    the fft indices index and 0 elsewhere. The modes are read _CHUNK at a
+    time as runs of one octave m and consecutive indices (in fft order |xi|
+    is monotone on each side of M/2). A run adds its sums of |c|^2 e^2 and
+    |c|^2 (1 - e)^2 into the rows of blocks m-1 and m (row j+1 is block
+    j; a spare row takes the 0 past j_max).
     """
-    part = make_partition(grid)
-    table = np.zeros((len(part.block_range), n_nodes))
-    for window, values in pieces:
-        a = window.start
-        mags = np.abs(values) ** 2
-        for row, j in zip(table, part.block_range):
-            for sl, vals in part._clipped(window, j):
-                row += mags[:, sl.start - a:sl.stop - a] @ (vals * vals)
-    return np.sqrt(grid.period * table)
+    n_blocks = make_partition(grid).j_max + 2
+    table = np.zeros((n_blocks + 1, values.shape[0]))
+    mags = np.abs(values)
+    np.square(mags, out=mags)
+    for a in range(0, index.size, _CHUNK):
+        i = index[a:a + _CHUNK]
+        m, e = _octave_split(grid.frequencies_at(i))
+        # a run ends at a gap in the indices: summing a seed's two mirror
+        # windows as one run moves its norm by an ulp, which round-off-floor
+        # records (dilation-check's residual) read as 1e-3 relative
+        step = (m[1:] != m[:-1]) | (i[1:] != i[:-1] + 1)
+        runs = np.flatnonzero(np.concatenate(([True], step)))
+        part = mags[:, a:a + _CHUNK]
+        lo = np.add.reduceat(part * (e * e), runs, axis=1)
+        np.multiply(part, np.square(1.0 - e), out=part)
+        np.add.at(table, m[runs], lo.T)
+        np.add.at(table, m[runs] + 1, np.add.reduceat(part, runs, 1).T)
+    return np.sqrt(grid.period * table[:n_blocks])
 
 
 def besov_norm(u: SpectralField, s: float, q: float) -> NormReport:
     """B^{s,q} norm: l^q over j of 2^{js} ||Delta_j u||_{L^2}, summed on
     the field's pieces."""
     q = _check_q(q)
-    raw = _block_l2_table([(sl, v[None, :]) for sl, v in u.pieces], 1,
-                          u.grid)[:, 0]
-    js = np.arange(-1, raw.size - 1)
-    weighted = 2.0 ** (js * s) * raw
-    return NormReport("besov", s, q, None, _lq(weighted, q), tuple(weighted))
+    pieces = u.pieces or ((slice(0, 0), np.zeros(0)),)  # a field of no modes
+    index = np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in pieces])
+    values = np.concatenate([v for _, v in pieces])[None, :]
+    table = _block_l2_table(index, values, u.grid)
+    return _weighted_report("besov", table[:, 0], s, q)
 
 
 def sobolev_norm(u: SpectralField, s: float) -> float:
@@ -192,10 +185,8 @@ def _spacetime_report(table: np.ndarray, dt: float, p: float, s: float,
         per_block = table.max(axis=1)
     else:
         per_block = np.trapezoid(table**p, dx=dt, axis=1) ** (1.0 / p)
-    js = np.arange(-1, table.shape[0] - 1)  # a row per block, j = -1 up
-    weighted = 2.0 ** (js * s) * per_block
     kind = "Linf-t-besov" if p == np.inf else f"L{int(p)}-t-besov"
-    return NormReport(kind, s, q, None, _lq(weighted, q), tuple(weighted))
+    return _weighted_report(kind, per_block, s, q)
 
 
 def spacetime_besov_norm(traj: Trajectory, p: float, s: float,
@@ -209,8 +200,8 @@ def spacetime_besov_norm(traj: Trajectory, p: float, s: float,
     q = _check_q(q)
     if p not in (1, 2, np.inf):
         raise DomainError(f"time exponent p must be 1, 2, or inf, got {p}")
-    table = _block_l2_table(((slice(0, traj.grid.mode_count), traj.coeffs),),
-                            traj.n_nodes, traj.grid)
+    table = _block_l2_table(np.arange(traj.grid.mode_count), traj.coeffs,
+                            traj.grid)
     return _spacetime_report(table, traj.dt, p, s, q)
 
 
@@ -219,8 +210,8 @@ def x_norm(traj: Trajectory, s: float, q: float, alpha: float) -> float:
     both parts read one block table."""
     check_alpha(alpha)
     q = _check_q(q)
-    table = _block_l2_table(((slice(0, traj.grid.mode_count), traj.coeffs),),
-                            traj.n_nodes, traj.grid)
+    table = _block_l2_table(np.arange(traj.grid.mode_count), traj.coeffs,
+                            traj.grid)
     a = _spacetime_report(table, traj.dt, np.inf, s, q)
     b = _spacetime_report(table, traj.dt, 2, s + alpha, q)
     return a.value + b.value

@@ -57,17 +57,18 @@ def trapezoid_step(acc, f_prev, f_next, decay, half_dt, out=None, tmp=None):
     return np.add(out, tmp, out=out)
 
 
-def duhamel_integrate(source: Trajectory, alpha: float) -> Trajectory:
-    """L(f)(t_i) = int_0^{t_i} S(t_i - r) f(r) dr along the source nodes."""
-    g = source.grid
-    decay = np.exp(-source.dt * fractional_symbol(g, alpha))
-    half = 0.5 * source.dt
-    out = np.zeros_like(source.coeffs)
+def duhamel_integrate(source: Trajectory, alpha: float,
+                      out=None) -> Trajectory:
+    """L(f)(t_i) = int_0^{t_i} S(t_i - r) f(r) dr along the source nodes,
+    written into out if given (an (n, M) array other than the source's)."""
+    decay = np.exp(-source.dt * fractional_symbol(source.grid, alpha))
+    out = np.empty_like(source.coeffs) if out is None else out
+    out[0] = 0.0
     tmp = np.empty_like(out[0])
     for i in range(source.n_nodes - 1):
         trapezoid_step(out[i], source.coeffs[i], source.coeffs[i + 1], decay,
-                       half, out=out[i + 1], tmp=tmp)
-    return Trajectory(g, source.dt, out)
+                       0.5 * source.dt, out=out[i + 1], tmp=tmp)
+    return Trajectory(source.grid, source.dt, out)
 
 
 def _free_coeffs(u0: SpectralField, times: np.ndarray, alpha: float) -> np.ndarray:
@@ -75,14 +76,18 @@ def _free_coeffs(u0: SpectralField, times: np.ndarray, alpha: float) -> np.ndarr
     return u0.coeffs[None, :] * np.exp(-np.outer(times, sym))
 
 
-def _integral_map(u: Trajectory, free: np.ndarray,
-                  config: SolveConfig) -> np.ndarray:
-    """S u0 + sigma L(u^2) on the nodes of u, given the free flow S u0."""
+def _integral_map(u: Trajectory, free: np.ndarray, config: SolveConfig,
+                  out=None, src=None) -> np.ndarray:
+    """S u0 + sigma L(u^2) on the nodes of u, given the free flow S u0 (free
+    itself at sigma = 0); out and src, if given, receive it and u^2."""
     if config.sign == 0:
         return free
     g = u.grid
-    src = Trajectory(g, u.dt, dealiased_product_coeffs(u.coeffs, u.coeffs, g))
-    return free + config.sign * duhamel_integrate(src, config.alpha).coeffs
+    src = Trajectory(g, u.dt, dealiased_product_coeffs(u.coeffs, u.coeffs, g,
+                                                       out=src))
+    mapped = duhamel_integrate(src, config.alpha, out=out).coeffs
+    np.multiply(mapped, config.sign, out=mapped)
+    return np.add(free, mapped, out=mapped)
 
 
 @dataclass(frozen=True)
@@ -116,26 +121,26 @@ def fixed_point_solve(u0: SpectralField, config: SolveConfig):
     times = config.dt * np.arange(config.n_steps + 1)
     free = _free_coeffs(u0, times, config.alpha)
 
-    cur = free.copy()
-    diff_norms = []
-    converged = False
-    blowup_time = None
-    n_iter = 0
+    # every trajectory an iterate writes: u^2 and then the difference go
+    # to src, the new iterate to spare, and cur and spare swap
+    cur, spare, src = free.copy(), np.empty_like(free), np.empty_like(free)
+    diff_norms, converged, blowup_time, n_iter = [], False, None, 0
     for _ in range(config.max_iter):
         n_iter += 1
         # overflow during a genuine blow-up is caught below, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _integral_map(Trajectory(g, config.dt, cur), free, config)
+            new = _integral_map(Trajectory(g, config.dt, cur), free, config,
+                                out=spare, src=src)
         bad = ~np.isfinite(new)
         if bad.any():
             blowup_time = float(times[int(np.argwhere(bad.any(axis=1))[0, 0])])
             break
-        diff = Trajectory(g, config.dt, new - cur)
+        diff = Trajectory(g, config.dt, np.subtract(new, cur, out=src))
         # huge pre-blow-up iterates may overflow the norm; inf is handled
         with np.errstate(over="ignore", invalid="ignore"):
             d = x_norm(diff, config.s, config.q, config.alpha)
         diff_norms.append(d)
-        cur = new
+        cur, spare = new, cur
         if d < config.picard_tol:
             converged = True
             break

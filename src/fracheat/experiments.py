@@ -358,9 +358,10 @@ def boundary_index(alpha: float) -> float:
     return max(-alpha, 0.5 - 2.0 * alpha)
 
 
-def _classify_cell(alpha: float, s: float, ns, grid: TorusGrid,
-                   t_max: float) -> Tuple[List[float], float]:
-    """Growth exponent of rho(N) = max_t ||A_2(t)||_{H^s} / ||data||^2.
+def _classify_cells(alpha: float, ss, ns, grid: TorusGrid,
+                    t_max: float) -> List[Tuple[List[float], float]]:
+    """(rho(N), growth exponent) for each s of ss, where rho(N) =
+    max_t ||A_2(t)||_{H^s} / ||data||^2 and every s reads one A_2 per N.
 
     Data is the amplitude-one indicator pair on +-[N, N+2]; A_2 comes from
     the closed-form quadrature on a nonnegative scan. Bounded rho marks a
@@ -369,24 +370,26 @@ def _classify_cell(alpha: float, s: float, ns, grid: TorusGrid,
     T_N ~ 2^{-N} of the double-critical corner stays inside it.
     """
     ts = np.geomspace(1e-5, t_max, 9)
-    rhos = []
+    rhos = [[] for _ in ss]
     for n in ns:
         profile = phi_hat_profile(n, 0.0)
         band = np.linspace(float(n), n + 2.0, 401)
-        den2 = 2.0 * np.trapezoid((1.0 + band ** 2) ** s, band) / (2.0 * np.pi)
         top = 2.0 * (n + 2.0) + 1.0
         scan = np.linspace(0.0, top, int(8 * top) + 1)
         za = second_iterate_hat(profile, ts, scan, alpha, grid)
-        rhos.append(max(hs_norm_from_hat_scan(scan, z, s) / den2 for z in za))
-    fit = fit_exponent(zip(ns, rhos))
-    return rhos, fit.slope
+        for s, rho in zip(ss, rhos):
+            den2 = np.trapezoid((1.0 + band**2) ** s, band) / np.pi  # +-band
+            rho.append(max(hs_norm_from_hat_scan(scan, z, s) / den2
+                           for z in za))
+    return [(rho, fit_exponent(zip(ns, rho)).slope) for rho in rhos]
 
 
 def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
     g = exp.grid(cfg)
     ns = list(exp.sweep(cfg))
     if not cfg["sweep"]:
-        rhos, slope = _classify_cell(cfg["alpha"], cfg["s"], ns, g, cfg["T"])
+        [(rhos, slope)] = _classify_cells(cfg["alpha"], [cfg["s"]], ns, g,
+                                          cfg["T"])
         ill = slope >= _ILL_SLOPE
         b = boundary_index(cfg["alpha"])
         near = abs(cfg["s"] - b) <= cfg["tol"] + 1e-12
@@ -398,8 +401,8 @@ def _run_wellposed(cfg, exp) -> Tuple[dict, dict]:
     mismatches = 0
     corner_ill = False
     for a in _SWEEP_ALPHAS:
-        for s in _SWEEP_S:
-            _, slope = _classify_cell(a, s, ns, g, cfg["T"])
+        cells = _classify_cells(a, _SWEEP_S, ns, g, cfg["T"])
+        for s, (_, slope) in zip(_SWEEP_S, cells):
             ill = slope >= _ILL_SLOPE
             alphas.append(a)
             ss.append(s)

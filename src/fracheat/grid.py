@@ -491,12 +491,13 @@ def field_basis(grid: TorusGrid, *spectra):
 
 
 def dealiased_product_coeffs(cu: np.ndarray, cv: np.ndarray,
-                             grid: TorusGrid) -> np.ndarray:
+                             grid: TorusGrid, out=None) -> np.ndarray:
     """Raw-array core of the dealiased product of real fields (no field
-    validation), in the basis field_basis picks for the inputs."""
+    validation) in the basis field_basis picks, widened into out if given."""
     basis = field_basis(grid, *((cu,) if cv is cu else (cu, cv)))
     a = basis.band(cu)
-    return basis.widen(basis.product(a, a if cv is cu else basis.band(cv)))
+    return basis.widen(basis.product(a, a if cv is cu else basis.band(cv)),
+                       out=out)
 
 
 def pair_with_test_function(field: SpectralField,

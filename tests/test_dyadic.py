@@ -212,6 +212,118 @@ def test_cascade_pairing_on_its_support_matches_dense_oracle(n):
                                                             abs=0)
 
 
+def _per_window_block_table(pieces, n_nodes, grid):
+    # the block table summed per (block, window): each block's support
+    # windows clipped to each piece, its profile evaluated on the clip
+    p = make_partition(grid)
+    table = np.zeros((len(p.block_range), n_nodes))
+    for window, values in pieces:
+        mags = np.abs(values) ** 2
+        for row, j in zip(table, p.block_range):
+            edges = (0.0, 2.0) if j == -1 else (2.0**j, 2.0 ** (j + 2))
+            for sl in grid.support_windows(*edges):
+                a, b = max(sl.start, window.start), min(sl.stop, window.stop)
+                if a < b:
+                    xi = grid.frequencies_at(slice(a, b))
+                    vals = eta(xi) if j == -1 else phi_profile(xi / 2.0**j)
+                    row += mags[:, a - window.start:b - window.start] @ (
+                        vals * vals)
+    return np.sqrt(grid.period * table)
+
+
+def _mirrored(g, k0, values):
+    # the real field with modes k0..k0+n-1 equal to values, as two pieces
+    m, n = g.mode_count, len(values)
+    return SpectralField.windowed(g, [
+        (slice(k0, k0 + n), values),
+        (slice(m - k0 - n + 1, m - k0 + 1), np.conj(values[::-1]))])
+
+
+def _octave_edge_cases():
+    rng = np.random.default_rng(SEED)
+    # the band ends below |xi| = 1, so j_max = -1 and one block is left
+    low = TorusGrid(40.0, 8)
+    yield "j_max=-1", random_band_field(low, low.max_frequency, rng)
+    # lam = pi: xi_k = 2k, so |xi| = 2^p lands exactly on modes
+    for m in (64, 2 ** 16):
+        g = TorusGrid(np.pi, m)
+        yield f"pi,{m}", random_band_field(g, g.max_frequency, rng)
+    g = TorusGrid(np.pi, 64)
+    yield "pi,edges", _mirrored(g, 2, rng.standard_normal(15) + 0j)
+    # mode 0 alone, and mode 0 beside its neighbours
+    g = TorusGrid(32.0, 512)
+    yield "mode0", SpectralField.windowed(g, [(slice(0, 1),
+                                                np.array([1.5 + 0j]))])
+    yield "mode0,1", SpectralField.windowed(g, [
+        (slice(0, 3), np.array([1.0, 0.5 - 0.25j, 0.125j])),
+        (slice(510, 512), np.array([-0.125j, 0.5 + 0.25j]))])
+    # psi_6's 14 windows on (128, 2^19), and a field with no modes
+    yield "psi6", build_psi_N(6, 0.75, TorusGrid(128.0, 2 ** 19))
+    yield "empty", SpectralField.windowed(g, [])
+
+
+_OCTAVE_EDGE_CASES = dict(_octave_edge_cases())
+
+
+@pytest.mark.parametrize("u", _OCTAVE_EDGE_CASES.values(),
+                         ids=_OCTAVE_EDGE_CASES.keys())
+def test_octave_split_table_matches_per_window_table(u):
+    g = u.grid
+    want = _per_window_block_table(
+        [(sl, v[None, :]) for sl, v in u.pieces], 1, g)
+    assert want.shape == (make_partition(g).j_max + 2, 1)
+    got = np.array(besov_norm(u, 0.0, 2.0).blocks)  # 2^{0 j} = 1
+    assert got.shape == want[:, 0].shape
+    assert np.count_nonzero(got) == np.count_nonzero(want)
+    np.testing.assert_allclose(got, want[:, 0], rtol=1e-13, atol=0)
+    for s, q in ((-0.75, 2.0), (0.5, np.inf)):
+        rep = besov_norm(u, s, q)
+        js = np.arange(-1, want.shape[0] - 1)
+        weighted = 2.0 ** (js * s) * want[:, 0]
+        assert len(rep.blocks) == want.shape[0]
+        want_value = (np.max(weighted) if q == np.inf else
+                      np.sum(weighted**q) ** (1 / q))
+        assert rep.value == pytest.approx(want_value, rel=1e-13, abs=0)
+
+
+def test_octave_split_table_on_a_solver_trajectory():
+    # the shape fixed_point_solve's x_norm reads: 65 nodes of 512 modes
+    g = TorusGrid(32.0, 512)
+    u0 = random_band_field(g, g.max_frequency, np.random.default_rng(SEED))
+    traj = free_trajectory(u0, 0.75, 0.01, 65)
+    want = _per_window_block_table([(slice(0, g.mode_count), traj.coeffs)],
+                                   65, g)
+    got = dyadic._block_l2_table(np.arange(g.mode_count), traj.coeffs, g)
+    assert got.shape == want.shape == (make_partition(g).j_max + 2, 65)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _counted_eta(monkeypatch):
+    # every value dyadic hands to eta, summed over calls
+    sizes = []
+
+    def counted(xi):
+        sizes.append(np.size(xi))
+        return eta(xi)
+
+    monkeypatch.setattr(dyadic, "eta", counted)
+    return sizes
+
+
+def test_block_table_evaluates_eta_once_per_mode(monkeypatch):
+    u = build_psi_N(6, 0.75, TorusGrid(128.0, 2 ** 19))
+    g = TorusGrid(32.0, 512)
+    traj = free_trajectory(
+        random_band_field(g, g.max_frequency, np.random.default_rng(SEED)),
+        0.75, 0.01, 65)
+    sizes = _counted_eta(monkeypatch)
+    besov_norm(u, -0.75, 4.0)
+    assert sum(sizes) == sum(sl.stop - sl.start for sl, _ in u.pieces)
+    sizes.clear()
+    x_norm(traj, -0.5, 2.0, 0.75)
+    assert sum(sizes) == g.mode_count  # not one set per node or per block
+
+
 def test_seed_besov_norm_memory_stays_near_its_support():
     # psi_6 on (128, 2^19) sits on 14 windows of about 43 modes; the seed
     # allocates no 2^19-mode spectrum, and its norm on a fresh partition

@@ -383,6 +383,22 @@ def test_wellposed_cell_makes_one_quadrature_call_per_n(monkeypatch):
     assert all(np.shape(t) == (9,) for t in calls)
 
 
+def test_wellposed_sweep_makes_one_quadrature_call_per_alpha_and_n(
+        monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args[3], float(args[2][-1])))  # (alpha, scan top)
+        return second_iterate_hat(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "second_iterate_hat", counted)
+    rec = run_experiment("wellposed-scaling", {"sweep": "1"})
+    assert len(rec.values["slope"]) == 64
+    # 8 alphas x 6 N, each A_2 read by all 8 s values
+    assert len(calls) == 48
+    assert len(set(calls)) == 48
+
+
 def test_cascade_pipeline():
     rec = run_experiment("cascade", {"N_min": "9", "N_max": "10",
                                      "modes": str(2 ** 16)})

@@ -101,6 +101,30 @@ def test_one_kernel_sums_the_window_masses():
         "dyadic._ModulationNorm.__call__"], sites
 
 
+def _call_sites(node, names, scope):
+    # (qualified name of the enclosing function or class, called name) of
+    # every call under node to a bare name in names
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+              and child.func.id in names):
+            yield scope, child.func.id
+        yield from _call_sites(child, names, inner)
+
+
+def test_one_octave_split_evaluates_the_bump_in_dyadic():
+    # every block value dyadic reads comes from one eta per mode in the
+    # octave split; phi_profile's own definition is the other caller
+    sites = sorted(_call_sites(ast.parse((SRC / "dyadic.py").read_text()),
+                               {"eta", "phi_profile"}, "dyadic"))
+    assert sites == [("dyadic._octave_split", "eta"),
+                     ("dyadic.phi_profile", "eta"),
+                     ("dyadic.phi_profile", "eta")], sites
+
+
 def _raised_names(func: ast.FunctionDef):
     # (name, line) of every exception func raises by name, called or bare
     for node in ast.walk(func):
